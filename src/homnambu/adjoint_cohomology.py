@@ -33,7 +33,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra, bracket_eval_sparse
-from .cochains import Cochain, CochainSpace, split_vector_respects_fusion
+from .cochains import Cochain, CochainSpace, operator_respects_fusion
 from .fundamental import fundamental_of, l_action_sparse, wedge_of_vectors
 from .indices import sv_add, wedge_basis
 
@@ -92,7 +92,7 @@ def equivariance_matrix(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> li
 
 
 def equivariant_basis(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> linalg.SubspaceBasis:
-    return linalg.kernel_basis(equivariance_matrix(alg, p, mode).to_dense())
+    return linalg.kernel_basis(equivariance_matrix(alg, p, mode))
 
 
 def equivariance_violations(alg: HomNambuAlgebra, psi: Cochain):
@@ -194,11 +194,7 @@ def apply_coboundary(alg: HomNambuAlgebra, psi: Cochain, out_mode: str | None = 
 def coboundary_preserves_fusion(alg: HomNambuAlgebra, p: int) -> bool:
     m = coboundary_matrix(alg, p, "fused", out_mode="split")
     space_split = CochainSpace(alg, p + 1, "adjoint", "split")
-    dense = m.to_dense()
-    for col in range(m.cols):
-        if not split_vector_respects_fusion(space_split, tuple(dense[:, col])):
-            return False
-    return True
+    return operator_respects_fusion(space_split, m)
 
 
 # -- degree 0: the derivation-defect extension --------------------------------
@@ -265,7 +261,7 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointRepo
     out_mode = "split" if mode == "fused" else mode
     delta = coboundary_matrix(alg, p, mode, out_mode)
     restricted = _restrict_columns(delta, equi)
-    coords = linalg.kernel_basis(restricted.to_dense())
+    coords = linalg.kernel_basis(restricted)
     z_vectors = []
     for cv in coords.vectors:
         vec = [ZERO] * space.dim
@@ -282,7 +278,7 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointRepo
         prev = _restrict_columns(
             coboundary_matrix(alg, p - 1, mode), equivariant_basis(alg, p - 1, mode)
         )
-    b = linalg.image_basis(prev.to_dense())
+    b = linalg.image_basis(prev)
     dim_h = linalg.quotient_dim(z, b)
     return AdjointReport(
         degree=p,

@@ -1,166 +1,97 @@
-"""Integer elimination and matrix-product backends.
+"""The exact elimination engine and the integer matrix product.
 
-The exact linear algebra in :mod:`homnambu.linalg` reduces every problem
-to fraction-free (Bareiss) elimination and plain products of integer
-matrices.  Those two inner loops dominate the runtime of cohomology
-reports, so they are jit-compiled with numba for machine int64 operands.
-Bareiss intermediate entries are minors of the input, which can outgrow
-int64, so the fast kernel tracks the magnitude of the active block and
-bails out before any product could overflow; callers then redo the work
-on a numpy object array holding Python big integers.  Both paths run the
-same source, so results are bit-identical.
-
-Set ``HOMNAMBU_PURE_PYTHON=1`` to skip numba entirely (the fallback is
-also used automatically when numba is unavailable).
+Every rank, kernel, image and solve in :mod:`homnambu.linalg` ends in
+:func:`echelon_int`: sparse Gaussian elimination over the integers on
+rows stored as ``{column: int}`` dicts.  Rows are taken shortest first
+(a cheap Markowitz order, as in Duff, Erisman & Reid, *Direct Methods
+for Sparse Matrices*) and reduced by their leading term against the
+pivot rows found so far, so only fill-in that a short pivot row causes
+is ever created.  Each combination is fraction-free and the result is
+divided by the row content, which keeps coefficients at the size of the
+reduced row rather than of a Bareiss minor.  Back-substitution then
+clears every pivot column above and below its pivot, giving the reduced
+row echelon form, which is unique: bases built from it do not depend on
+the row order.
 """
 
 from __future__ import annotations
 
-import os
+from math import gcd
 
 import numpy as np
 
-PURE_ENV = "HOMNAMBU_PURE_PYTHON"
-
-# 2 * I64_GUARD**2 must stay below 2**63; see the update formula in
-# _echelon_core.
-I64_GUARD = 2**31 - 1
-
-try:
-    from numba import njit
-
-    _HAVE_NUMBA = True
-except ImportError:  # numba is optional; without it every kernel runs on object arrays
-    _HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-def numba_enabled() -> bool:
-    return _HAVE_NUMBA and os.environ.get(PURE_ENV, "0").strip() in ("", "0")
-
 
 def backend_name() -> str:
-    return "numba-int64" if numba_enabled() else "object"
+    return "sparse-int"
 
 
-def _echelon_core(m, pivots, limit):
-    """Fraction-free row echelon form, in place.
-
-    Pivot choice is the first nonzero entry in column order, so the
-    output (and everything derived from it) is deterministic.  With
-    ``limit > 0`` the routine returns status 1 as soon as an operand in
-    the active block exceeds ``limit``; with ``limit = 0`` it never
-    bails (object arrays, arbitrary precision).
-
-    Returns ``(status, rank)``; ``pivots[:rank]`` holds pivot columns.
-    """
-    rows, cols = m.shape
-    rank = 0
-    prev = 1
-    for col in range(cols):
-        if rank == rows:
-            break
-        if limit > 0:
-            mx = prev if prev >= 0 else -prev
-            for i in range(rank, rows):
-                for j in range(col, cols):
-                    a = m[i, j]
-                    if a < 0:
-                        a = -a
-                    if a > mx:
-                        mx = a
-            if mx > limit:
-                return 1, rank
-        pr = -1
-        for i in range(rank, rows):
-            if m[i, col] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != rank:
-            for j in range(cols):
-                tmp = m[rank, j]
-                m[rank, j] = m[pr, j]
-                m[pr, j] = tmp
-        piv = m[rank, col]
-        for i in range(rank + 1, rows):
-            f = m[i, col]
-            for j in range(col + 1, cols):
-                m[i, j] = (piv * m[i, j] - f * m[rank, j]) // prev
-            m[i, col] = 0
-        pivots[rank] = col
-        prev = piv
-        rank += 1
-    return 0, rank
+def _primitive(row: dict) -> dict:
+    """Divide a nonzero row by its content, making its lead positive."""
+    g = gcd(*row.values())
+    if row[min(row)] < 0:
+        g = -g
+    if g == 1:
+        return row
+    return {c: v // g for c, v in row.items()}
 
 
-def _matmul_core(a, b, out):
-    n, k = a.shape
-    m = b.shape[1]
-    for i in range(n):
-        for j in range(m):
-            s = out[i, j]
-            for t in range(k):
-                s += a[i, t] * b[t, j]
-            out[i, j] = s
-
-
-_echelon_fast = njit(cache=True)(_echelon_core) if _HAVE_NUMBA else None
-_matmul_fast = njit(cache=True)(_matmul_core) if _HAVE_NUMBA else None
-
-
-def _as_object_array(int_rows, rows, cols):
-    m = np.empty((rows, cols), dtype=object)
-    for i, row in enumerate(int_rows):
-        for j, v in enumerate(row):
-            m[i, j] = v
-    return m
+def _combine(row: dict, pivot_row: dict, col: int) -> dict:
+    """``row`` with its entry in ``col`` cleared by ``pivot_row``."""
+    a, b = pivot_row[col], row[col]
+    g = gcd(a, b)
+    a, b = a // g, b // g
+    out = {c: a * v for c, v in row.items()} if a != 1 else dict(row)
+    for c, w in pivot_row.items():
+        v = out.get(c, 0) - b * w
+        if v:
+            out[c] = v
+        else:
+            del out[c]
+    return _primitive(out) if out else out
 
 
 def echelon_int(int_rows, rows, cols):
-    """Echelon form of an integer matrix given as nested lists.
+    """Reduced row echelon form of an integer matrix over Q.
 
-    Returns ``(echelon_rows, pivot_cols, rank)`` with Python-int entries.
+    ``int_rows`` holds the rows of a ``rows x cols`` matrix as
+    ``{column: int}`` dicts without zero entries; the shape is passed
+    along so that callers and tracers see it.  Returns
+    ``(echelon_rows, pivot_cols, rank)``: ``echelon_rows`` are the
+    ``rank`` nonzero rows of the reduced echelon form, each scaled to
+    coprime integers with a positive pivot and given as a list of
+    ``cols`` Python ints; ``pivot_cols`` increase.
     """
-    if rows == 0 or cols == 0:
-        return [], [], 0
-    pivots = np.full(min(rows, cols), -1, dtype=np.int64)
-    if numba_enabled():
-        mx = max((abs(v) for row in int_rows for v in row), default=0)
-        if mx <= I64_GUARD:
-            m = np.array(int_rows, dtype=np.int64)
-            status, rank = _echelon_fast(m, pivots, I64_GUARD)
-            if status == 0:
-                ech = [[int(v) for v in m[i]] for i in range(rank)]
-                return ech, [int(p) for p in pivots[:rank]], rank
-    m = _as_object_array(int_rows, rows, cols)
-    _, rank = _echelon_core(m, pivots, 0)
-    ech = [list(m[i]) for i in range(rank)]
-    return ech, [int(p) for p in pivots[:rank]], rank
+    pivots = {}  # lead column -> primitive row
+    for row in sorted((r for r in int_rows if r), key=len):
+        row = _primitive(row)
+        lead = min(row)
+        while lead in pivots:
+            row = _combine(row, pivots[lead], lead)
+            if not row:
+                break
+            lead = min(row)
+        else:
+            pivots[lead] = row
+    order = sorted(pivots)
+    for i in range(len(order) - 1, -1, -1):
+        lead = order[i]
+        row = pivots[lead]
+        for col in [c for c in row if c != lead and c in pivots]:
+            row = _combine(row, pivots[col], col)
+        pivots[lead] = row
+    echelon = []
+    for lead in order:
+        dense = [0] * cols
+        for c, v in pivots[lead].items():
+            dense[c] = v
+        echelon.append(dense)
+    return echelon, order, len(order)
 
 
 def matmul_int(a_rows, b_rows, n, k, m):
     """Exact product of integer matrices given as nested lists."""
-    if n == 0 or m == 0:
+    if n == 0 or k == 0 or m == 0:
         return [[0] * m for _ in range(n)]
-    if k == 0:
-        return [[0] * m for _ in range(n)]
-    if numba_enabled():
-        ma = max((abs(v) for row in a_rows for v in row), default=0)
-        mb = max((abs(v) for row in b_rows for v in row), default=0)
-        if ma * mb * k < 2**62:
-            a = np.array(a_rows, dtype=np.int64)
-            b = np.array(b_rows, dtype=np.int64)
-            out = np.zeros((n, m), dtype=np.int64)
-            _matmul_fast(a, b, out)
-            return [[int(v) for v in out[i]] for i in range(n)]
-    a = _as_object_array(a_rows, n, k)
-    b = _as_object_array(b_rows, k, m)
-    out = np.dot(a, b)
-    return [list(out[i]) for i in range(n)]
+    a = np.array(a_rows, dtype=object)
+    b = np.array(b_rows, dtype=object)
+    return np.dot(a, b).tolist()

@@ -5,7 +5,6 @@ extend, deform-check, bridge-check.  All file I/O uses the text grammar
 from :mod:`homnambu.formats`; ``--json`` switches every report to a
 machine-readable dump.  Exit codes: 0 all requested checks pass,
 2 parse error, 3 a check failed, 4 a precondition was violated.
-HOMNAMBU_WORKERS caps the threads used for independent validators.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 
 from . import adjoint_cohomology, algebra, bridge, derivations, formats
 from . import fundamental as fundamental_mod
-from . import linalg, parallel, scalar_cohomology
+from . import linalg, scalar_cohomology
 from .cochains import Cochain, CochainSpace
 
 OK, PARSE_ERROR, CHECK_FAILED, PRECONDITION = 0, 2, 3, 4
@@ -66,14 +65,11 @@ def _load(path) -> algebra.HomNambuAlgebra:
 
 
 def _validated(alg) -> dict:
-    results = parallel.run_tasks(
-        [
-            lambda: algebra.check_skew_symmetry(alg),
-            lambda: algebra.check_hom_nambu_identity(alg),
-            lambda: algebra.check_multiplicativity(alg),
-        ]
-    )
-    return dict(zip(("skew", "hom_nambu", "multiplicative"), results))
+    return {
+        "skew": algebra.check_skew_symmetry(alg),
+        "hom_nambu": algebra.check_hom_nambu_identity(alg),
+        "multiplicative": algebra.check_multiplicativity(alg),
+    }
 
 
 def _require_valid(alg):

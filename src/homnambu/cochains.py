@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .indices import sort_with_sign, sv_add, wedge_basis
+from .indices import sort_with_sign, sv_add, sv_to_dense, wedge_basis
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -226,6 +226,17 @@ def split_vector_respects_fusion(space_split: CochainSpace, flat) -> bool:
             if val != sign * canon_val:
                 return False
     return True
+
+
+def operator_respects_fusion(space_split: CochainSpace, m: linalg.SparseMatrix) -> bool:
+    """True when every column of ``m``, an operator into ``space_split``,
+    lies in the fused subspace."""
+    columns = [{} for _ in range(m.cols)]
+    for (r, c), v in m.entries.items():
+        columns[c][r] = v
+    return all(
+        split_vector_respects_fusion(space_split, sv_to_dense(col, m.rows)) for col in columns
+    )
 
 
 def fused_to_split_embedding(space_fused: CochainSpace, space_split: CochainSpace):

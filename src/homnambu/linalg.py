@@ -1,22 +1,28 @@
 """Exact linear algebra over the rationals.
 
 Scalars are :class:`fractions.Fraction` (always lowest terms, positive
-denominator); matrices are 2-D numpy arrays with ``dtype=object`` whose
-entries are Fractions.  Everything here is a pure function of its
-arguments, so concurrent use needs no synchronization.
+denominator).  Dense matrices are 2-D numpy arrays with ``dtype=object``
+holding Fractions; coboundary operators are :class:`SparseMatrix`
+values.  Everything here is a pure function of its arguments, so
+concurrent use needs no synchronization.
 
-Ranks and kernels are computed over the rationals; they agree with the
-values over any extension field, which is why the rest of the package
-can work over Q without changing any cohomology dimension.  Elimination
-is fraction-free with a fixed pivot rule, and all reported bases are in
-reduced echelon form, so outputs are canonical.
+``rank``, ``rref``, ``kernel_basis``, ``image_basis``,
+``row_space_basis``, ``solve``, ``quotient_dim`` and the
+:class:`SubspaceBasis` checks take a SparseMatrix or a dense matrix (any
+nested sequence) and hand its nonzero entries, as integer rows with
+denominators cleared row by row, to the one elimination engine,
+:func:`homnambu.backends.echelon_int`.  Ranks and kernels over Q agree
+with those over any extension field, which is why the rest of the
+package can work over Q without changing any cohomology dimension.
+Every basis is read off the reduced row echelon form, which is unique,
+so outputs are canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import lcm
 
 import numpy as np
 
@@ -69,29 +75,44 @@ def is_zero_matrix(m) -> bool:
     return all(not v for v in np.asarray(m, dtype=object).flat)
 
 
-def _int_rows(m):
-    """Clear denominators row by row (row scaling preserves row space,
-    null space and pivot structure)."""
+def _rows(m, transpose=False):
+    """Nonzero entries of ``m`` (or of its transpose) as one
+    ``{column: value}`` dict per row, and the column count."""
+    if isinstance(m, SparseMatrix):
+        n, k = (m.cols, m.rows) if transpose else (m.rows, m.cols)
+        rows = [{} for _ in range(n)]
+        for (r, c), v in m.entries.items():
+            if transpose:
+                r, c = c, r
+            rows[r][c] = v
+        return rows, k
     m = np.asarray(m, dtype=object)
-    out = []
-    for row in m:
-        den = 1
-        for v in row:
-            den = den * v.denominator // gcd(den, v.denominator)
-        out.append([int(v * den) for v in row])
-    return out
+    if m.ndim != 2:
+        raise LinAlgError("expected a matrix")
+    if transpose:
+        m = m.T
+    return [{c: v for c, v in enumerate(row) if v} for row in m.tolist()], m.shape[1]
 
 
-def _echelon(m):
-    rows, cols = m.shape
-    ech, pivots, rank = backends.echelon_int(_int_rows(m), rows, cols)
-    return ech, pivots, rank
+def _echelon(rows, cols):
+    """Reduced echelon form of rational ``{column: value}`` rows, each
+    row cleared of denominators first (row scaling preserves row space,
+    null space and pivot structure)."""
+    int_rows = []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        int_rows.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
+    return backends.echelon_int(int_rows, len(int_rows), cols)
+
+
+def _scaled(row, lead):
+    """An integer echelon row divided by its pivot entry."""
+    return tuple(Fraction(v, lead) if v else ZERO for v in row)
 
 
 def rank(m) -> int:
-    """Exact rank over the rationals."""
-    m = np.asarray(m, dtype=object)
-    return _echelon(m)[2]
+    """Exact rank over the rationals of a dense or sparse matrix."""
+    return _echelon(*_rows(m))[2]
 
 
 def rref(m):
@@ -99,50 +120,42 @@ def rref(m):
 
     Returns ``(R, pivots)`` where R has ``rank`` rows (zero rows dropped).
     """
-    m = np.asarray(m, dtype=object)
-    ech, pivots, rk = _echelon(m)
-    cols = m.shape[1]
+    rows, cols = _rows(m)
+    ech, pivots, rk = _echelon(rows, cols)
     r = np.empty((rk, cols), dtype=object)
-    for i in range(rk):
-        piv = Fraction(ech[i][pivots[i]])
-        for j in range(cols):
-            r[i, j] = Fraction(ech[i][j]) / piv
-    for i in range(rk - 1, -1, -1):
-        p = pivots[i]
-        for i2 in range(i):
-            c = r[i2, p]
-            if c:
-                r[i2] = r[i2] - c * r[i]
+    for i, (row, p) in enumerate(zip(ech, pivots)):
+        r[i] = _scaled(row, row[p])
     return r, tuple(pivots)
 
 
 def kernel_basis(m) -> "SubspaceBasis":
     """Canonical basis of the right null space (reduced echelon form)."""
-    m = np.asarray(m, dtype=object)
-    cols = m.shape[1]
-    r, pivots = rref(m)
-    free = [c for c in range(cols) if c not in set(pivots)]
-    vectors = []
-    for f in free:
-        v = [ZERO] * cols
+    rows, cols = _rows(m)
+    ech, pivots, _ = _echelon(rows, cols)
+    pivot_set = set(pivots)
+    vectors = {f: [ZERO] * cols for f in range(cols) if f not in pivot_set}
+    for f, v in vectors.items():
         v[f] = ONE
-        for row_idx, p in enumerate(pivots):
-            v[p] = -r[row_idx, f]
-        vectors.append(tuple(v))
-    return SubspaceBasis(cols, tuple(vectors))
+    for row, p in zip(ech, pivots):
+        lead = row[p]
+        for f, x in enumerate(row):
+            if x and f != p:
+                vectors[f][p] = Fraction(-x, lead)
+    return SubspaceBasis(cols, tuple(tuple(v) for v in vectors.values()))
+
+
+def _row_basis(rows, cols) -> "SubspaceBasis":
+    ech, pivots, _ = _echelon(rows, cols)
+    return SubspaceBasis(cols, tuple(_scaled(row, row[p]) for row, p in zip(ech, pivots)))
 
 
 def image_basis(m) -> "SubspaceBasis":
     """Canonical basis of the column space (reduced echelon form)."""
-    m = np.asarray(m, dtype=object)
-    r, _ = rref(m.T)
-    return SubspaceBasis(m.shape[0], tuple(tuple(row) for row in r))
+    return _row_basis(*_rows(m, transpose=True))
 
 
 def row_space_basis(m) -> "SubspaceBasis":
-    m = np.asarray(m, dtype=object)
-    r, _ = rref(m)
-    return SubspaceBasis(m.shape[1], tuple(tuple(row) for row in r))
+    return _row_basis(*_rows(m))
 
 
 def solve(m, b):
@@ -150,21 +163,20 @@ def solve(m, b):
 
     Free variables are set to zero, so the answer is deterministic.
     """
-    m = np.asarray(m, dtype=object)
-    rows, cols = m.shape
+    rows, cols = _rows(m)
     b = vec(b)
-    if len(b) != rows:
+    if len(b) != len(rows):
         raise LinAlgError("right-hand side length mismatch")
-    aug = np.empty((rows, cols + 1), dtype=object)
-    aug[:, :cols] = m
-    for i in range(rows):
-        aug[i, cols] = b[i]
-    r, pivots = rref(aug)
-    if cols in pivots:
+    for row, v in zip(rows, b):
+        if v:
+            row[cols] = v
+    ech, pivots, _ = _echelon(rows, cols + 1)
+    if pivots and pivots[-1] == cols:
         return None
     x = [ZERO] * cols
-    for row_idx, p in enumerate(pivots):
-        x[p] = r[row_idx, cols]
+    for row, p in zip(ech, pivots):
+        if row[cols]:
+            x[p] = Fraction(row[cols], row[p])
     return tuple(x)
 
 
@@ -172,8 +184,7 @@ def matmul(a, b) -> np.ndarray:
     """Exact product of two rational matrices.
 
     Denominators are cleared (one common denominator per factor), the
-    integer product runs on the fast backend when it fits in int64, and
-    the result is rescaled back.
+    integer product is taken and the result is rescaled back.
     """
     a = np.asarray(a, dtype=object)
     b = np.asarray(b, dtype=object)
@@ -182,31 +193,17 @@ def matmul(a, b) -> np.ndarray:
     if k != k2:
         raise LinAlgError("shape mismatch in matmul")
 
-    def common_den(x):
-        den = 1
-        for v in x.flat:
-            den = den * v.denominator // gcd(den, v.denominator)
-        return den
-
     def int_rows(x, den):
-        if den == 1:
-            return [[v.numerator for v in row] for row in x]
-        return [[int(v * den) for v in row] for row in x]
+        return [[v.numerator * (den // v.denominator) for v in row] for row in x.tolist()]
 
-    da, db = common_den(a), common_den(b)
+    da = lcm(*(v.denominator for v in a.flat))
+    db = lcm(*(v.denominator for v in b.flat))
     prod = backends.matmul_int(int_rows(a, da), int_rows(b, db), n, k, m)
     scale = Fraction(1, da * db)
     out = np.empty((n, m), dtype=object)
-    if scale == 1:
-        for i in range(n):
-            row = prod[i]
-            for j in range(m):
-                out[i, j] = Fraction(row[j])
-    else:
-        for i in range(n):
-            row = prod[i]
-            for j in range(m):
-                out[i, j] = row[j] * scale
+    for i, row in enumerate(prod):
+        for j, v in enumerate(row):
+            out[i, j] = v * scale
     return out
 
 
@@ -241,27 +238,24 @@ class SubspaceBasis:
             return True
         if any(len(v) != self.ambient_dim for v in self.vectors):
             return False
-        return rank(self.matrix()) == len(self.vectors)
+        return rank(self.vectors) == len(self.vectors)
 
     def contains(self, vector) -> bool:
         if not any(vector):
             return True
         if not self.vectors:
             return False
-        stacked = np.vstack([self.matrix(), mat([vector])])
-        return rank(stacked) == self.dim
+        return rank((*self.vectors, vec(vector))) == self.dim
 
 
 def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
     """dim(z) - dim(b), after checking span(b) is inside span(z)."""
     if z.ambient_dim != b.ambient_dim:
         raise NotASubspaceError("ambient dimensions differ")
-    dim_z = rank(z.matrix()) if z.vectors else 0
-    dim_b = rank(b.matrix()) if b.vectors else 0
-    if b.vectors:
-        stacked = np.vstack([z.matrix(), b.matrix()]) if z.vectors else b.matrix()
-        if rank(stacked) != dim_z:
-            raise NotASubspaceError("not a subspace")
+    dim_z = rank(z.vectors) if z.vectors else 0
+    dim_b = rank(b.vectors) if b.vectors else 0
+    if b.vectors and rank((*z.vectors, *b.vectors)) != dim_z:
+        raise NotASubspaceError("not a subspace")
     return dim_z - dim_b
 
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .cochains import Cochain, CochainSpace, split_vector_respects_fusion
+from .cochains import Cochain, CochainSpace, operator_respects_fusion
 from .fundamental import fundamental_of, l_action_sparse
 from .indices import levi_civita, sv_add, wedge_basis
 
@@ -125,11 +125,7 @@ def coboundary_preserves_fusion(alg: HomNambuAlgebra, p: int) -> bool:
     """
     m = coboundary_matrix(alg, p, "fused", out_mode="split")
     space_split = CochainSpace(alg, p + 1, "scalar", "split")
-    dense = m.to_dense()
-    for col in range(m.cols):
-        if not split_vector_respects_fusion(space_split, tuple(dense[:, col])):
-            return False
-    return True
+    return operator_respects_fusion(space_split, m)
 
 
 def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> CohomologyReport:
@@ -144,17 +140,17 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> CohomologyR
         raise ValueError("degree must be >= 0")
     if p == 0:
         m = zero_coboundary_matrix(alg, mode)
-        z = linalg.kernel_basis(m.to_dense())
+        z = linalg.kernel_basis(m)
         b = linalg.SubspaceBasis(alg.dim, ())
         return CohomologyReport(0, alg.dim, z.dim, 0, z.dim, z, b, mode)
     space = CochainSpace(alg, p, "scalar", mode)
     out_mode = "split" if mode == "fused" else mode
-    z = linalg.kernel_basis(coboundary_matrix(alg, p, mode, out_mode).to_dense())
+    z = linalg.kernel_basis(coboundary_matrix(alg, p, mode, out_mode))
     if p == 1:
         prev = zero_coboundary_matrix(alg, mode)
     else:
         prev = coboundary_matrix(alg, p - 1, mode)
-    b = linalg.image_basis(prev.to_dense())
+    b = linalg.image_basis(prev)
     dim_h = linalg.quotient_dim(z, b)
     return CohomologyReport(p, space.dim, z.dim, b.dim, dim_h, z, b, mode)
 
@@ -260,4 +256,4 @@ def potential_by_solve(alg: HomNambuAlgebra, phi: Cochain):
     """A covector psi with (d psi) = phi, from the linear system; None
     when phi is not a degree-0 coboundary."""
     m = zero_coboundary_matrix(alg, phi.space.mode)
-    return linalg.solve(m.to_dense(), phi.to_flat())
+    return linalg.solve(m, phi.to_flat())

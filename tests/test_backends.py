@@ -1,44 +1,149 @@
-"""Backend dispatch: numba int64 fast path vs object fallback."""
+"""The sparse elimination engine against a plain dense reference.
 
-import importlib.util
-import subprocess
-import sys
+``reference_rref`` is textbook Gauss-Jordan over ``Fraction`` on a dense
+list of rows.  RREF is unique, so the engine (reached through
+``linalg.rref``, ``rank``, ``kernel_basis`` and ``image_basis``, from
+dense and from sparse input) must agree with it exactly: same rows,
+pivots, rank and kernel basis.
+"""
+
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homnambu import backends, linalg
+from homnambu import adjoint_cohomology, backends, formats, linalg, scalar_cohomology
+
+FIXTURES = sorted((Path(__file__).resolve().parent.parent / "fixtures").glob("*.alg"))
 
 
-def _echelon_object(int_rows, rows, cols):
-    m = backends._as_object_array(int_rows, rows, cols)
-    pivots = np.full(min(rows, cols), -1, dtype=np.int64)
-    _, rank = backends._echelon_core(m, pivots, 0)
-    return [list(m[i]) for i in range(rank)], [int(p) for p in pivots[:rank]], rank
+def reference_rref(rows, cols):
+    """Dense Gauss-Jordan over Q: (nonzero RREF rows, pivot columns)."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if p is None:
+            continue
+        m[r], m[p] = m[p], m[r]
+        m[r] = [v / m[r][c] for v in m[r]]
+        for i in range(len(m)):
+            if i != r and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
+        pivots.append(c)
+    return m[: len(pivots)], pivots
 
 
-@given(
-    st.lists(
-        st.lists(st.integers(-20, 20), min_size=4, max_size=4),
-        min_size=3,
-        max_size=6,
-    )
+def reference_kernel(rows, cols):
+    r, pivots = reference_rref(rows, cols)
+    vectors = []
+    for f in (c for c in range(cols) if c not in pivots):
+        v = [Fraction(0)] * cols
+        v[f] = Fraction(1)
+        for row, p in zip(r, pivots):
+            v[p] = -row[f]
+        vectors.append(tuple(v))
+    return vectors
+
+
+def dense(rows, cols):
+    m = np.empty((len(rows), cols), dtype=object)
+    for i, row in enumerate(rows):
+        m[i] = row
+    return m
+
+
+def sparse(rows, cols):
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return linalg.SparseMatrix(len(rows), cols, entries)
+
+
+def assert_matches_reference(rows, cols):
+    want_r, want_pivots = reference_rref(rows, cols)
+    want_kernel = reference_kernel(rows, cols)
+    want_image = reference_rref([list(c) for c in zip(*rows)], len(rows))[0]
+    for m in (dense(rows, cols), sparse(rows, cols)):
+        r, pivots = linalg.rref(m)
+        assert [list(row) for row in r] == want_r
+        assert list(pivots) == want_pivots
+        assert linalg.rank(m) == len(want_pivots)
+        kernel = linalg.kernel_basis(m)
+        assert kernel.ambient_dim == cols
+        assert list(kernel.vectors) == want_kernel
+        image = linalg.image_basis(m)
+        assert image.ambient_dim == len(rows)
+        assert [list(v) for v in image.vectors] == want_image
+
+
+RATIONALS = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+    st.builds(Fraction, st.integers(-(10**20), 10**20), st.integers(1, 10**6)),
 )
-@settings(max_examples=80, deadline=None)
-def test_fast_and_object_paths_agree(rows):
-    got = backends.echelon_int([list(r) for r in rows], len(rows), 4)
-    want = _echelon_object([list(r) for r in rows], len(rows), 4)
-    assert got == want
-    # The guarded int64 logic, run as plain Python: the same source numba
-    # compiles, so it is checked on machines without numba too.
-    m = np.array(rows, dtype=np.int64)
-    pivots = np.full(min(len(rows), 4), -1, dtype=np.int64)
-    status, rank = backends._echelon_core(m, pivots, backends.I64_GUARD)
-    if status == 0:
-        ech = [[int(v) for v in m[i]] for i in range(rank)]
-        assert (ech, [int(p) for p in pivots[:rank]], rank) == want
+
+
+@st.composite
+def matrices(draw):
+    """Rational matrices from 0 x n and n x 0 up to 8 x 8, tall or wide,
+    with zero rows and repeated (possibly rescaled) rows mixed in."""
+    cols = draw(st.integers(0, 8))
+    rows = draw(st.lists(st.lists(RATIONALS, min_size=cols, max_size=cols), max_size=8))
+    for _ in range(draw(st.integers(0, 3))):
+        if rows and draw(st.booleans()):
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            scale = draw(st.sampled_from([1, -1, 2, Fraction(1, 3)]))
+            rows.insert(draw(st.integers(0, len(rows))), [scale * v for v in src])
+        else:
+            rows.insert(draw(st.integers(0, len(rows))), [Fraction(0)] * cols)
+    return rows, cols
+
+
+@given(matrices())
+@settings(max_examples=300, deadline=None)
+def test_engine_matches_reference_rref(matrix):
+    assert_matches_reference(*matrix)
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 4), (4, 0), (1, 1)])
+def test_engine_edge_shapes(shape):
+    rows, cols = shape
+    assert_matches_reference([[Fraction(0)] * cols for _ in range(rows)], cols)
+
+
+def fixture_operators(path):
+    alg = formats.load_algebra(path)
+    equi = adjoint_cohomology.equivariant_basis(alg, 1)
+    yield "scalar p=1", scalar_cohomology.coboundary_matrix(alg, 1)
+    yield "scalar p=2", scalar_cohomology.coboundary_matrix(alg, 2)
+    yield "adjoint p=1 restricted", adjoint_cohomology._restrict_columns(
+        adjoint_cohomology.coboundary_matrix(alg, 1), equi
+    )
+
+
+@pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
+def test_engine_matches_reference_on_fixture_operators(path):
+    for label, op in fixture_operators(path):
+        rows = [[Fraction(0)] * op.cols for _ in range(op.rows)]
+        for (r, c), v in op.entries.items():
+            rows[r][c] = v
+        want_r, want_pivots = reference_rref(rows, op.cols)
+        r, pivots = linalg.rref(op)
+        assert ([list(row) for row in r], list(pivots)) == (want_r, want_pivots), label
+        assert linalg.rank(op) == len(want_pivots), label
+        assert list(linalg.kernel_basis(op).vectors) == reference_kernel(rows, op.cols), label
+
+
+def test_echelon_rows_are_coprime_integers():
+    # -2x - 4y + 6z = 0 and 3x + 3y = 0: rows come back primitive, pivots positive
+    ech, pivots, rank = backends.echelon_int([{0: -2, 1: -4, 2: 6}, {0: 3, 1: 3}], 2, 3)
+    assert (ech, pivots, rank) == ([[1, 0, 3], [0, 1, -3]], [0, 1], 2)
+    for row in ech:
+        assert all(isinstance(v, int) for v in row)
 
 
 def test_huge_entries_fall_back_exactly():
@@ -55,46 +160,3 @@ def test_matmul_int_overflow_guard():
     b = [[2**40, 0], [1, 1]]
     out = backends.matmul_int(a, b, 2, 2, 2)
     assert out == [[2**80 + 1, 1], [1, 1]]
-
-
-def test_pure_python_env_flag():
-    code = (
-        "import os; os.environ['HOMNAMBU_PURE_PYTHON'] = '1';\n"
-        "from homnambu import backends, linalg\n"
-        "assert not backends.numba_enabled()\n"
-        "assert backends.backend_name() == 'object'\n"
-        "m = linalg.mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])\n"
-        "assert linalg.rank(m) == 2\n"
-        "k = linalg.kernel_basis(m)\n"
-        "assert k.dim == 1\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "ok"
-
-
-def test_backend_reports_numba_by_default(monkeypatch):
-    # Where numba is installed, the real default is the int64 path.
-    have_numba = importlib.util.find_spec("numba") is not None
-    assert backends._HAVE_NUMBA == have_numba
-    monkeypatch.delenv(backends.PURE_ENV, raising=False)
-    assert backends.backend_name() == ("numba-int64" if have_numba else "object")
-
-    # With numba importable, an unset, empty or "0" flag selects numba.
-    # Only the dispatch is exercised: no kernel runs, numba is not imported.
-    monkeypatch.setattr(backends, "_HAVE_NUMBA", True)
-    for value in (None, "", "0"):
-        if value is None:
-            monkeypatch.delenv(backends.PURE_ENV, raising=False)
-        else:
-            monkeypatch.setenv(backends.PURE_ENV, value)
-        assert backends.numba_enabled()
-        assert backends.backend_name() == "numba-int64"
-
-    # Without numba the object path is chosen automatically.
-    monkeypatch.setattr(backends, "_HAVE_NUMBA", False)
-    monkeypatch.delenv(backends.PURE_ENV, raising=False)
-    assert not backends.numba_enabled()
-    assert backends.backend_name() == "object"
