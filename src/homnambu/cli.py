@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 import time
 from fractions import Fraction
@@ -298,16 +299,13 @@ def cmd_deform_check(args) -> tuple:
     return report, OK if verdict else CHECK_FAILED
 
 
-def cmd_bridge_check(args) -> tuple:
-    import random
-
-    alg = _load(args.algebra)
-    _require_valid(alg)
-    if args.ternary and alg.arity != 3:
-        raise Refused("--ternary needs an arity-3 algebra")
-    leib = bridge.tensor_fundamental_of(alg)
-    rng = random.Random(args.seed)
-    if args.degree == 0:
+def bridge_input_cochain(alg, leib, degree: int, seed: int) -> bridge.BridgeCochain:
+    """The random equivariant cochain ``bridge-check --seed`` lifts: an
+    integer combination (coefficients -3 to 3) of the commutant in
+    degree 0, of the equivariant basis pulled back to tensor blocks
+    above."""
+    rng = random.Random(seed)
+    if degree == 0:
         basis = adjoint_cohomology.equivariant_matrix_space(alg)
         m = linalg.zeros(alg.dim, alg.dim)
         for v in basis.vectors:
@@ -316,10 +314,18 @@ def cmd_bridge_check(args) -> tuple:
                 for i, x in enumerate(v):
                     if x:
                         m[i // alg.dim, i % alg.dim] += c * x
-        phi = bridge.BridgeCochain(alg, leib, 0, m)
-    else:
-        psi = adjoint_cohomology.random_equivariant_cochain(alg, args.degree, rng)
-        phi = bridge.pullback_wedge_cochain(alg, leib, psi)
+        return bridge.BridgeCochain(alg, leib, 0, m)
+    psi = adjoint_cohomology.random_equivariant_cochain(alg, degree, rng)
+    return bridge.pullback_wedge_cochain(alg, leib, psi)
+
+
+def cmd_bridge_check(args) -> tuple:
+    alg = _load(args.algebra)
+    _require_valid(alg)
+    if args.ternary and alg.arity != 3:
+        raise Refused("--ternary needs an arity-3 algebra")
+    leib = bridge.tensor_fundamental_of(alg)
+    phi = bridge_input_cochain(alg, leib, args.degree, args.seed)
     holds, residuals = bridge.check_commuting_square(phi)
     ternary_agree = None
     if args.ternary:

@@ -1,13 +1,22 @@
-"""Golden cohomology reports: byte-identical output across refactors.
+"""Golden reports: byte-identical output across refactors.
 
-Each file under ``tests/golden/`` records one ``cohomology --json`` job
-on a committed fixture: its arguments, the report without
-``elapsed_seconds`` (the cocycle-basis file named by its file name, since
-the directory differs per run) and the SHA-256 of the basis file the job
-wrote (``null`` when dim Z = 0 and nothing is written).  The jobs are the
-committed-fixture jobs of the ``scalar-complex`` and ``adjoint-complex``
-benchmark workloads.  RREF is unique, so any correct elimination engine
-must reproduce these files exactly.
+Each ``*.trivial.*``/``*.adjoint.*`` file under ``tests/golden/``
+records one ``cohomology --json`` job on a committed fixture: its
+arguments, the report without ``elapsed_seconds`` (the cocycle-basis
+file named by its file name, since the directory differs per run) and
+the SHA-256 of the basis file the job wrote (``null`` when dim Z = 0 and
+nothing is written).  The jobs are the committed-fixture jobs of the
+``scalar-complex`` and ``adjoint-complex`` benchmark workloads.  RREF is
+unique, so any correct elimination engine must reproduce these files
+exactly.
+
+Each ``*.bridge.json`` file records one ``bridge-check --json`` job at a
+fixed seed: the report without ``elapsed_seconds`` and the SHA-256 of
+canonical dumps of the four cochains behind the commuting square (delta
+phi, lift phi, d(lift phi) and lift(delta phi)) for the cochain phi that
+job draws.  A dump lists every stored key in sorted order with its
+sorted components written by ``formats.format_rational``, so an entry
+held as ``int`` and one held as an equal ``Fraction`` dump the same.
 
 After an intended change of output, regenerate them from the root of a
 checkout with ``PYTHONPATH=src python tests/test_golden.py``.
@@ -24,7 +33,7 @@ from pathlib import Path
 
 import pytest
 
-from homnambu import cli
+from homnambu import bridge, cli, formats
 
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -45,6 +54,15 @@ JOBS = [
     ("volume_d3_twisted", 2, *ADJ),
 ]
 
+# (fixture, degree, seed, extra flags); seeds whose cochain has full support
+BRIDGE_JOBS = [
+    ("filippov_n3", 0, 247514, "--ternary"),
+    ("filippov_n3", 1, 94476, "--ternary"),
+    ("solvable_d4", 1, 377744, "--ternary"),
+    ("volume_d3_twisted", 2, 290122, "--ternary"),
+    ("sl2", 2, 259336),
+]
+
 
 def job_name(job) -> str:
     stem, p, *extra = job
@@ -53,10 +71,13 @@ def job_name(job) -> str:
     return f"{stem}.p{p}.{coefficients}.{mode}"
 
 
-def record(job) -> str:
-    """Run one job in the current directory; its golden-file text."""
-    stem, p, *extra = job
-    argv = ["cohomology", f"fixtures/{stem}.alg", "-p", str(p), *extra]
+def bridge_job_name(job) -> str:
+    stem, p, *_ = job
+    return f"{stem}.p{p}.bridge"
+
+
+def run_report(argv) -> dict:
+    """``--json`` report of one job on a committed fixture, untimed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         code = cli.main(["--json", argv[0], str(ROOT / argv[1]), *argv[2:]])
@@ -64,6 +85,24 @@ def record(job) -> str:
         raise RuntimeError(f"homnambu {' '.join(argv)} exited {code}")
     report = json.loads(out.getvalue())
     del report["elapsed_seconds"]
+    return report
+
+
+def canonical_dump(coeffs) -> bytes:
+    """One line per stored key: the key, then ``component:value`` pairs."""
+    lines = []
+    for key in sorted(coeffs):
+        vec = coeffs[key]
+        entries = " ".join(f"{k}:{formats.format_rational(vec[k])}" for k in sorted(vec))
+        lines.append(f"{' '.join(map(str, key))} | {entries}\n")
+    return "".join(lines).encode()
+
+
+def record(job) -> str:
+    """Run one job in the current directory; its golden-file text."""
+    stem, p, *extra = job
+    argv = ["cohomology", f"fixtures/{stem}.alg", "-p", str(p), *extra]
+    report = run_report(argv)
     digest = None
     if report["cocycle_basis_file"] is not None:
         written = Path(report["cocycle_basis_file"])
@@ -73,11 +112,41 @@ def record(job) -> str:
     return json.dumps(golden, indent=2) + "\n"
 
 
+def record_bridge(job) -> str:
+    """Golden-file text of one bridge-check job."""
+    stem, p, seed, *extra = job
+    argv = ["bridge-check", f"fixtures/{stem}.alg", "-p", str(p), "--seed", str(seed), *extra]
+    report = run_report(argv)
+    alg = formats.load_algebra(ROOT / argv[1])
+    leib = bridge.tensor_fundamental_of(alg)
+    phi = cli.bridge_input_cochain(alg, leib, p, seed)
+    delta_phi = bridge.bridge_coboundary(phi)
+    lift_phi = bridge.delta_lift(phi)
+    cochains = {
+        "delta_phi": delta_phi,
+        "lift_phi": lift_phi,
+        "d_lift_phi": bridge.leibniz_coboundary(leib, lift_phi),
+        "lift_delta_phi": bridge.delta_lift(delta_phi),
+    }
+    digests = {
+        name: hashlib.sha256(canonical_dump(c.coeffs)).hexdigest()
+        for name, c in cochains.items()
+    }
+    golden = {"argv": argv, "report": report, "cochain_sha256": digests}
+    return json.dumps(golden, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("job", JOBS, ids=job_name)
 def test_report_matches_golden(job, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     expected = (GOLDEN / f"{job_name(job)}.json").read_bytes()
     assert record(job).encode() == expected
+
+
+@pytest.mark.parametrize("job", BRIDGE_JOBS, ids=bridge_job_name)
+def test_bridge_report_matches_golden(job):
+    expected = (GOLDEN / f"{bridge_job_name(job)}.json").read_bytes()
+    assert record_bridge(job).encode() == expected
 
 
 def write_all() -> None:
@@ -92,6 +161,9 @@ def write_all() -> None:
                 os.chdir(home)
         (GOLDEN / f"{job_name(job)}.json").write_text(text, encoding="utf-8")
         print(f"wrote {job_name(job)}.json", file=sys.stderr)
+    for job in BRIDGE_JOBS:
+        (GOLDEN / f"{bridge_job_name(job)}.json").write_text(record_bridge(job), encoding="utf-8")
+        print(f"wrote {bridge_job_name(job)}.json", file=sys.stderr)
 
 
 if __name__ == "__main__":
