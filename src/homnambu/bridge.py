@@ -25,6 +25,13 @@ the two coboundaries on twist-equivariant cochains (equivariance is
 part of the cochain definition the four-term operator comes from, and
 dropping it breaks the square for non-trivial twists), which transports
 d o d = 0 into the four-term complex.
+
+The four kernels (both coboundaries and both lifts) are matrix-free:
+each output key gets a term list of ``(key, weight)`` pairs and
+``(key, weight, op)`` triples, each one lookup of phi's stored value at a
+basis tuple, scaled or pushed through a linear map ``op = {m: vector}``.
+Integral values (tensor table, twist and L-action columns, phi's values)
+are Python ints; other rationals stay ``Fraction``, so results are exact.
 """
 
 from __future__ import annotations
@@ -32,26 +39,92 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
-from .algebra import HomNambuAlgebra, bracket_eval_sparse
-from .fundamental import HomLeibnizAlgebra, fundamental_of, l_action_sparse
+from .algebra import HomNambuAlgebra
+from .fundamental import HomLeibnizAlgebra, fundamental_of
 from .indices import sort_with_sign, sv_add, tensor_basis
 
-ONE = Fraction(1)
-ZERO = Fraction(0)
+
+def _exact(v):
+    """An integral value as ``int``, any other rational as ``Fraction``."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def _exact_vec(vec: dict) -> dict:
+    return {k: _exact(v) for k, v in vec.items() if v}
+
+
+def _exact_values(coeffs: dict) -> dict:
+    return {key: ev for key, vec in coeffs.items() if (ev := _exact_vec(vec))}
+
+
+def _expand(vectors):
+    """``(index tuple, weight)`` pairs of a product of sparse vectors."""
+    out = [((), 1)]
+    for vec in vectors:
+        out = [(t + (i,), w * c) for t, w in out for i, c in vec.items()]
+    return out
+
+
+def _slot_map(f, vectors, s: int, dim: int) -> dict:
+    """The linear map m -> f(v_1, ..., b_m, ..., v_k) with b_m in slot s,
+    as ``{m: sparse vector}``; ``vectors[s]`` is ignored."""
+    out = {}
+    for m in range(dim):
+        v = f(vectors[:s] + [{m: 1}] + vectors[s + 1:])
+        if v:
+            out[m] = v
+    return out
+
+
+def _apply(values: dict, scalars, maps) -> dict:
+    """Sum of a term list on stored values; zeros dropped once at the end."""
+    acc = {}
+    for key, w in scalars:
+        vec = values.get(key)
+        if vec:
+            for r, u in vec.items():
+                acc[r] = acc.get(r, 0) + w * u
+    for key, w, op in maps:
+        vec = values.get(key)
+        if vec:
+            for m, u in vec.items():
+                col = op.get(m)
+                if col:
+                    wu = w * u
+                    for r, c in col.items():
+                        acc[r] = acc.get(r, 0) + wu * c
+    return {r: x for r, x in acc.items() if x}
+
+
+def _pointwise(values: dict, keys, terms) -> dict:
+    """``{key: terms(key) applied to values}`` over keys, zero sums left out."""
+    out = {}
+    for key in keys:
+        total = _apply(values, *terms(key))
+        if total:
+            out[key] = total
+    return out
 
 
 def tensor_of_vectors(tindex, vectors) -> dict:
     """Expand a decomposable tensor of sparse vectors into coordinates."""
     out = {}
-    for combo in itertools.product(*(v.items() for v in vectors)):
-        coeff = ONE
-        for _, c in combo:
-            coeff *= c
-        if coeff:
-            sv_add(out, tindex[tuple(i for i, _ in combo)], coeff)
-    return out
+    for t, w in _expand(vectors):
+        k = tindex[t]
+        out[k] = out.get(k, 0) + w
+    return {k: v for k, v in out.items() if v}
+
+
+def _bracket(leib: HomLeibnizAlgebra, vectors) -> dict:
+    """The n-ary bracket of n sparse vectors, read off the L-action table."""
+    acc = {}
+    for t, w in _expand(vectors):
+        for r, c in leib.l_action[leib.index[t[:-1]]][t[-1]].items():
+            acc[r] = acc.get(r, 0) + w * c
+    return {r: x for r, x in acc.items() if x}
 
 
 def build_tensor_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
@@ -59,29 +132,25 @@ def build_tensor_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
     n, d = alg.arity, alg.dim
     basis = tensor_basis(d, n - 1)
     tindex = {t: i for i, t in enumerate(basis)}
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
+    alpha_cols = [_exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    l_action = [[_exact_vec(alg.bracket_basis_sparse(t + (z,))) for z in range(d)] for t in basis]
     table = []
-    for i, _ in enumerate(basis):
-        xi = {i: ONE}
+    for lx in l_action:
         row = []
-        for j, yt in enumerate(basis):
+        for yt in basis:
             out = {}
             for s in range(n - 1):
-                lz = l_action_sparse(alg, basis, xi, {yt[s]: ONE})
-                if not lz:
-                    continue
-                factors = [alpha_cols[yt[t]] for t in range(s)]
-                factors.append(lz)
-                factors += [alpha_cols[yt[t]] for t in range(s + 1, n - 1)]
-                for k, v in tensor_of_vectors(tindex, factors).items():
-                    sv_add(out, k, v)
-            row.append(out)
+                if lx[yt[s]]:
+                    factors = [alpha_cols[y] for y in yt]
+                    factors[s] = lx[yt[s]]
+                    for k, v in tensor_of_vectors(tindex, factors).items():
+                        out[k] = out.get(k, 0) + v
+            row.append({k: v for k, v in out.items() if v})
         table.append(row)
-    twist_cols = [
-        tensor_of_vectors(tindex, [alpha_cols[k] for k in t]) for t in basis
-    ]
+    twist_cols = [tensor_of_vectors(tindex, [alpha_cols[k] for k in t]) for t in basis]
     return HomLeibnizAlgebra(
-        dim=len(basis), basis=basis, index=tindex, table=table, twist_cols=twist_cols, source=alg
+        dim=len(basis), basis=basis, index=tindex, table=table, twist_cols=twist_cols,
+        source=alg, l_action=l_action,
     )
 
 
@@ -120,26 +189,6 @@ class LeibnizCochain:
     def zero(cls, leib, degree):
         return cls(leib, degree, {})
 
-    def value(self, key) -> dict:
-        if self.degree == 0:
-            raise ValueError("degree-0 cochains are elements, not maps")
-        return self.coeffs.get(tuple(key), {})
-
-    def evaluate(self, args) -> dict:
-        """Multilinear evaluation at sparse arguments."""
-        if len(args) != self.degree:
-            raise ValueError("argument count mismatch")
-        out = {}
-        for combo in itertools.product(*(a.items() for a in args)):
-            w = ONE
-            for _, c in combo:
-                w *= c
-            if not w:
-                continue
-            for k, v in self.coeffs.get(tuple(i for i, _ in combo), {}).items():
-                sv_add(out, k, w * v)
-        return out
-
     def is_zero(self) -> bool:
         if self.degree == 0:
             return not self.coeffs
@@ -147,76 +196,84 @@ class LeibnizCochain:
 
 
 def _leib_alpha_power(leib: HomLeibnizAlgebra, k: int):
-    cols = [{i: ONE} for i in range(leib.dim)]
+    cols = [{i: 1} for i in range(leib.dim)]
     for _ in range(k):
         cols = [leib.twist_sparse(c) for c in cols]
     return cols
+
+
+def _multiplications(leib: HomLeibnizAlgebra, p: int):
+    """Left and right multiplication by a^(p-1)(b_a) (a^0 in degree 0) as
+    ``{m: [x, b_m]}`` and ``{m: [b_m, x]}`` maps, one per basis index a."""
+    left, right = [], []
+    for x in _leib_alpha_power(leib, max(p - 1, 0)):
+        left.append({m: v for m in range(leib.dim) if (v := leib.bracket_sparse(x, {m: 1}))})
+        right.append({m: v for m in range(leib.dim) if (v := leib.bracket_sparse({m: 1}, x))})
+    return left, right
+
+
+def _leibniz_terms(leib: HomLeibnizAlgebra, p: int, args, left, right):
+    """Term list of (d phi)(args) over phi's values at p-tuples (the empty
+    tuple in degree 0, where only the second sum survives)."""
+    maps = [  # (-1)^(k-1) [a^(p-1)(a_k), phi(..., ^a_k, ...)], 1-based k <= p
+        (args[:k] + args[k + 1:], 1 if k % 2 == 0 else -1, left[args[k]]) for k in range(p)
+    ]
+    maps.append((args[:p], 1 if p % 2 else -1, right[args[p]]))  # (-1)^(p+1)
+    scalars = []
+    for k in range(p + 1):
+        sk = -1 if k % 2 == 0 else 1  # (-1)^k, 1-based
+        for j in range(k + 1, p + 1):
+            bracket = leib.table[args[k]][args[j]]
+            if bracket:
+                vecs = [leib.twist_cols[args[t]] for t in range(p + 1) if t != k]
+                vecs[j - 1] = bracket
+                scalars += [(key, sk * w) for key, w in _expand(vecs)]
+    return scalars, maps
 
 
 def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: LeibnizCochain) -> LeibnizCochain:
     """The twisted Loday-Pirashvili coboundary; degree 0 sends an
     element c to a -> -[c, a]."""
     p = phi.degree
-    if p == 0:
-        out = {}
-        for a in range(leib.dim):
-            v = leib.bracket_sparse(phi.coeffs, {a: ONE})
-            if v:
-                out[(a,)] = {k: -x for k, x in v.items()}
-        return LeibnizCochain(leib, 1, out)
-    alpha_prev = _leib_alpha_power(leib, p - 1)
-    alpha_cols = [leib.twist_sparse({i: ONE}) for i in range(leib.dim)]
-    out = {}
-    for args in itertools.product(range(leib.dim), repeat=p + 1):
-        total = {}
-        for k in range(p):  # [a^(p-1)(a_k), phi(..., ^a_k, ...)]
-            sign = 1 if k % 2 == 0 else -1  # (-1)^(k-1), 1-based
-            rest = [{args[t]: ONE} for t in range(p + 1) if t != k]
-            val = phi.evaluate(rest)
-            if val:
-                for kk, v in leib.bracket_sparse(alpha_prev[args[k]], val).items():
-                    sv_add(total, kk, sign * v)
-        sign = 1 if (p + 1) % 2 == 0 else -1  # (-1)^(p+1)
-        val = phi.evaluate([{args[t]: ONE} for t in range(p)])
-        if val:
-            for kk, v in leib.bracket_sparse(val, alpha_prev[args[p]]).items():
-                sv_add(total, kk, sign * v)
-        for k in range(p + 1):
-            sk = -1 if k % 2 == 0 else 1  # (-1)^k, 1-based
-            for j in range(k + 1, p + 1):
-                bracket = leib.table[args[k]][args[j]]
-                if not bracket:
-                    continue
-                new_args = [alpha_cols[args[t]] for t in range(p + 1) if t != k]
-                new_args[j - 1] = bracket
-                for kk, v in phi.evaluate(new_args).items():
-                    sv_add(total, kk, sk * v)
-        if total:
-            out[args] = total
+    values = _exact_values({(): phi.coeffs} if p == 0 else phi.coeffs)
+    left, right = _multiplications(leib, p)
+    out = _pointwise(
+        values,
+        itertools.product(range(leib.dim), repeat=p + 1),
+        lambda args: _leibniz_terms(leib, p, args, left, right),
+    )
     return LeibnizCochain(leib, p + 1, out)
 
 
 def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseMatrix:
-    """Operator matrix over lex-ordered tuple coordinates.
-
-    Assembles one basis cochain per column; meant for small algebras
-    (the column count is dim^(p+1)).
-    """
+    """Operator matrix over lex-ordered tuple coordinates: component m of
+    phi at the k-th p-tuple is column k * dim + m, component r of d phi at
+    the k-th (p+1)-tuple is row k * dim + r.  Assembled row block by row
+    block from each output tuple's term list; the row count is
+    dim^(p+2), so it is meant for small algebras."""
     dim = leib.dim
-    tuples_in = list(itertools.product(range(dim), repeat=p))
-    index_in = {t: i for i, t in enumerate(tuples_in)}
-    index_out = {
-        t: i for i, t in enumerate(itertools.product(range(dim), repeat=p + 1))
-    }
-    m = linalg.SparseMatrix(len(index_out) * dim, len(tuples_in) * dim, {})
-    for t_in, col_base in index_in.items():
-        for comp in range(dim):
-            phi = LeibnizCochain(leib, p, {t_in: {comp: ONE}})
-            image = leibniz_coboundary(leib, phi)
-            for t_out, val in image.coeffs.items():
-                row_base = index_out[t_out]
-                for r, v in val.items():
-                    m.add(row_base * dim + r, col_base * dim + comp, v)
+    left, right = _multiplications(leib, p)
+
+    def column(key):
+        idx = 0
+        for a in key:
+            idx = idx * dim + a
+        return idx * dim
+
+    m = linalg.SparseMatrix(dim ** (p + 2), dim ** (p + 1), {})
+    for row, args in enumerate(itertools.product(range(dim), repeat=p + 1)):
+        scalars, maps = _leibniz_terms(leib, p, args, left, right)
+        block = {}
+        for key, w in scalars:
+            col = column(key)
+            for c in range(dim):
+                block[c, col + c] = block.get((c, col + c), 0) + w
+        for key, w, op in maps:
+            col = column(key)
+            for c, vec in op.items():
+                for r, x in vec.items():
+                    block[r, col + c] = block.get((r, col + c), 0) + w * x
+        m.entries.update(((row * dim + r, c), v) for (r, c), v in block.items() if v)
     return m
 
 
@@ -245,93 +302,82 @@ class BridgeCochain:
         if len(blocks) != self.degree:
             raise ValueError("block count mismatch")
         out = {}
-        for combo in itertools.product(*(b.items() for b in blocks)):
-            w = ONE
-            for _, c in combo:
-                w *= c
-            if not w:
-                continue
-            ids = tuple(i for i, _ in combo)
+        for ids, w in _expand(blocks):
             for zi, zc in z.items():
                 for k, v in self.coeffs.get(ids + (zi,), {}).items():
                     sv_add(out, k, w * zc * v)
         return out
 
-    def matrix_column(self, j: int) -> dict:
-        return {r: self.coeffs[r, j] for r in range(self.alg.dim) if self.coeffs[r, j]}
+    def stored_values(self) -> dict:
+        """Stored values keyed ``(blocks..., z)`` with integral entries as
+        ints; degree 0 gives matrix column z at key ``(z,)``."""
+        if self.degree:
+            return _exact_values(self.coeffs)
+        d = self.alg.dim
+        return _exact_values({(c,): {r: self.coeffs[r, c] for r in range(d)} for c in range(d)})
 
 
 def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
     """The four-term coboundary on tensor-block cochains (p >= 0).
 
     Degree 0 is the derivation defect
-    sum_i [x_1, ..., phi(x_i), ..., x_n] - phi([x_1, ..., x_n]).
+    sum_i [x_1, ..., phi(x_i), ..., x_n] - phi([x_1, ..., x_n]),
+    which is the general formula with a^0 = id.
     """
     alg, leib = phi.alg, phi.leib
-    d, n = alg.dim, alg.arity
-    p = phi.degree
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    if p == 0:
-        out = {}
-        for t_id, t in enumerate(leib.basis):
-            for z in range(d):
-                args = t + (z,)
-                total = {}
-                for i in range(n):
-                    slotted = [{c: ONE} for c in args]
-                    slotted[i] = phi.matrix_column(args[i])
-                    for r, v in bracket_eval_sparse(alg, slotted).items():
-                        sv_add(total, r, v)
-                for c, v in alg.bracket_basis_sparse(args).items():
-                    col = phi.matrix_column(c)
-                    for r, w in col.items():
-                        sv_add(total, r, -v * w)
-                if total:
-                    out[(t_id, z)] = total
-        return BridgeCochain(alg, leib, 1, out)
-    alpha_p_cols = [alg.twist_column_sparse(i, p) for i in range(d)]
-    alpha_t = [leib.twist_sparse({i: ONE}) for i in range(leib.dim)]
-    alpha_t_p = _leib_alpha_power(leib, p)
-    out = {}
-    for args in itertools.product(range(leib.dim), repeat=p + 1):
-        for z in range(d):
-            total = {}
-            for i in range(p + 1):
-                sign = -1 if i % 2 == 0 else 1  # (-1)^i, 1-based
-                for j in range(i + 1, p + 1):
-                    bracket = leib.table[args[i]][args[j]]
-                    if bracket:
-                        blocks = [alpha_t[args[t]] for t in range(p + 1) if t != i]
-                        blocks[j - 1] = bracket
-                        for r, v in phi.evaluate(blocks, alpha_cols[z]).items():
-                            sv_add(total, r, sign * v)
-                lz = l_action_sparse(alg, leib.basis, {args[i]: ONE}, {z: ONE})
-                if lz:
-                    blocks = [alpha_t[args[t]] for t in range(p + 1) if t != i]
-                    for r, v in phi.evaluate(blocks, lz).items():
-                        sv_add(total, r, sign * v)
-                blocks = [{args[t]: ONE} for t in range(p + 1) if t != i]
-                val = phi.evaluate(blocks, {z: ONE})
-                if val:
-                    for r, v in l_action_sparse(alg, leib.basis, alpha_t_p[args[i]], val).items():
-                        sv_add(total, r, -sign * v)
-            sign4 = 1 if p % 2 == 0 else -1  # (-1)^p
-            last = leib.basis[args[p]]
-            prefix = [{args[t]: ONE} for t in range(p)]
-            for s in range(n - 1):
-                val = phi.evaluate(prefix, {last[s]: ONE})
-                if not val:
-                    continue
-                fixed = [alpha_p_cols[last[t]] for t in range(n - 1)]
-                bargs = fixed[:s] + [val] + fixed[s + 1:] + [alg.twist_column_sparse(z, p)]
-                for r, v in bracket_eval_sparse(alg, bargs).items():
-                    sv_add(total, r, sign4 * v)
-            if total:
-                out[args + (z,)] = total
-    return BridgeCochain(alg, leib, p + 1, out)
+    d, n, p = alg.dim, alg.arity, phi.degree
+    lact, twist = leib.l_action, leib.twist_cols
+    bracket = partial(_bracket, leib)
+    alpha = [_exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    alpha_p = [_exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
+    # L(a^p(b_a)) and [a^p(x^1), ..., b_m in slot s, ..., a^p(x^(n-1)), a^p(z)]
+    lpow = [_slot_map(bracket, [alpha_p[x] for x in t] + [None], n - 1, d) for t in leib.basis]
+    fourth = [
+        [[_slot_map(bracket, [alpha_p[x] for x in t] + [alpha_p[z]], s, d) for z in range(d)]
+         for s in range(n - 1)]
+        for t in leib.basis
+    ]
+    sign4 = 1 if p % 2 == 0 else -1  # (-1)^p
+
+    def terms(key):
+        args, z = key[:-1], key[-1]
+        scalars, maps = [], []
+        for i in range(p + 1):
+            sign = -1 if i % 2 == 0 else 1  # (-1)^i, 1-based
+            rest = args[:i] + args[i + 1:]
+            twisted = [twist[a] for a in rest]
+            for j in range(i + 1, p + 1):
+                b = leib.table[args[i]][args[j]]
+                if b:
+                    vecs = twisted[:j - 1] + [b] + twisted[j:] + [alpha[z]]
+                    scalars += [(t, sign * w) for t, w in _expand(vecs)]
+            lz = lact[args[i]][z]
+            if lz:
+                scalars += [(t, sign * w) for t, w in _expand(twisted + [lz])]
+            maps.append((rest + (z,), -sign, lpow[args[i]]))
+        last = leib.basis[args[p]]
+        for s in range(n - 1):
+            maps.append((args[:p] + (last[s],), sign4, fourth[args[p]][s][z]))
+        return scalars, maps
+
+    keys = itertools.product(*[range(leib.dim)] * (p + 1), range(d))
+    return BridgeCochain(alg, leib, p + 1, _pointwise(phi.stored_values(), keys, terms))
 
 
 # -- the lift -----------------------------------------------------------------
+
+
+def _lift(phi: BridgeCochain, ops) -> LeibnizCochain:
+    """(lift phi)(args) = sum over slots s of ops[args[-1]][s] applied to
+    phi(args[:-1], x^s), where args[-1] is the block x^1 x ... x x^(n-1)."""
+    leib, p = phi.leib, phi.degree
+
+    def terms(args):
+        last = leib.basis[args[p]]
+        return (), [(args[:p] + (last[s],), 1, op) for s, op in enumerate(ops[args[p]])]
+
+    keys = itertools.product(range(leib.dim), repeat=p + 1)
+    return LeibnizCochain(leib, p + 1, _pointwise(phi.stored_values(), keys, terms))
 
 
 def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
@@ -339,39 +385,13 @@ def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
     feeding each factor of the last block through it."""
     alg, leib = phi.alg, phi.leib
     d, n = alg.dim, alg.arity
-    p = phi.degree
-    tindex = leib.index
-    out = {}
-    if p == 0:
-        for a, t in enumerate(leib.basis):
-            total = {}
-            for i in range(n - 1):
-                col = phi.matrix_column(t[i])
-                if not col:
-                    continue
-                factors = [{t[k]: ONE} for k in range(n - 1)]
-                factors[i] = col
-                for k, v in tensor_of_vectors(tindex, factors).items():
-                    sv_add(total, k, v)
-            if total:
-                out[(a,)] = total
-        return LeibnizCochain(leib, 1, out)
-    alpha_deg_cols = [alg.twist_column_sparse(i, p) for i in range(d)]
-    for args in itertools.product(range(leib.dim), repeat=p + 1):
-        last = leib.basis[args[p]]
-        blocks = [{args[t]: ONE} for t in range(p)]
-        total = {}
-        for i in range(n - 1):
-            val = phi.evaluate(blocks, {last[i]: ONE})
-            if not val:
-                continue
-            factors = [alpha_deg_cols[last[k]] for k in range(n - 1)]
-            factors[i] = val
-            for k, v in tensor_of_vectors(tindex, factors).items():
-                sv_add(total, k, v)
-        if total:
-            out[args] = total
-    return LeibnizCochain(leib, p + 1, out)
+    alpha_p = [_exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
+    tensor = partial(tensor_of_vectors, leib.index)
+    ops = [
+        [_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)]
+        for t in leib.basis
+    ]
+    return _lift(phi, ops)
 
 
 def delta_lift_ternary(phi: BridgeCochain) -> LeibnizCochain:
@@ -380,35 +400,13 @@ def delta_lift_ternary(phi: BridgeCochain) -> LeibnizCochain:
     alg, leib = phi.alg, phi.leib
     if alg.arity != 3:
         raise ValueError("ternary lift needs arity 3")
-    p = phi.degree
-    tindex = leib.index
-    out = {}
-    if p == 0:
-        for a, (x1, x2) in enumerate(leib.basis):
-            total = {}
-            for k, v in tensor_of_vectors(tindex, [{x1: ONE}, phi.matrix_column(x2)]).items():
-                sv_add(total, k, v)
-            for k, v in tensor_of_vectors(tindex, [phi.matrix_column(x1), {x2: ONE}]).items():
-                sv_add(total, k, v)
-            if total:
-                out[(a,)] = total
-        return LeibnizCochain(leib, 1, out)
-    alpha_deg_cols = [alg.twist_column_sparse(i, p) for i in range(alg.dim)]
-    for args in itertools.product(range(leib.dim), repeat=p + 1):
-        x1, x2 = leib.basis[args[p]]
-        blocks = [{args[t]: ONE} for t in range(p)]
-        total = {}
-        for k, v in tensor_of_vectors(
-            tindex, [alpha_deg_cols[x1], phi.evaluate(blocks, {x2: ONE})]
-        ).items():
-            sv_add(total, k, v)
-        for k, v in tensor_of_vectors(
-            tindex, [phi.evaluate(blocks, {x1: ONE}), alpha_deg_cols[x2]]
-        ).items():
-            sv_add(total, k, v)
-        if total:
-            out[args] = total
-    return LeibnizCochain(leib, p + 1, out)
+    d = alg.dim
+    alpha_p = [_exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
+    tensor = partial(tensor_of_vectors, leib.index)
+    # phi(..., x1) (x) a^p(x2) + a^p(x1) (x) phi(..., x2)
+    first = [_slot_map(tensor, [None, alpha_p[x]], 0, d) for x in range(d)]
+    second = [_slot_map(tensor, [alpha_p[x], None], 1, d) for x in range(d)]
+    return _lift(phi, [(first[x2], second[x1]) for x1, x2 in leib.basis])
 
 
 def check_commuting_square(phi: BridgeCochain):
@@ -441,7 +439,7 @@ def pullback_wedge_cochain(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra, psi)
         if any(not b for b in blocks):
             continue
         for z in range(alg.dim):
-            val = psi.evaluate(blocks, {z: ONE})
+            val = psi.evaluate(blocks, {z: 1})
             sval = {i: v for i, v in enumerate(val) if v}
             if sval:
                 out[args + (z,)] = sval
@@ -454,7 +452,6 @@ def bridge_equivariance_violations(phi: BridgeCochain):
     alg, leib = phi.alg, phi.leib
     d = alg.dim
     alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    alpha_t = [leib.twist_sparse({i: ONE}) for i in range(leib.dim)]
     bad = []
     if phi.degree == 0:
         comm = linalg.matmul(phi.coeffs, alg.twist) - linalg.matmul(alg.twist, phi.coeffs)
@@ -467,7 +464,7 @@ def bridge_equivariance_violations(phi: BridgeCochain):
             for c, v in phi.coeffs.get(args + (z,), {}).items():
                 for r, w in alpha_cols[c].items():
                     sv_add(lhs, r, v * w)
-            rhs = phi.evaluate([alpha_t[a] for a in args], alpha_cols[z])
+            rhs = phi.evaluate([leib.twist_cols[a] for a in args], alpha_cols[z])
             diff = dict(lhs)
             for k, v in rhs.items():
                 sv_add(diff, k, -v)

@@ -57,7 +57,8 @@ class HomLeibnizAlgebra:
 
     ``basis`` lists the underlying index tuples (wedge or tensor);
     ``table[i][j]`` is the sparse value of [b_i, b_j]; ``twist_cols[i]``
-    the sparse image of b_i under the induced twist.
+    the sparse image of b_i under the induced twist.  On tensor blocks,
+    ``l_action[i][z]`` is the sparse L(b_i).e_z in the source algebra.
     """
 
     dim: int
@@ -66,6 +67,7 @@ class HomLeibnizAlgebra:
     table: list
     twist_cols: list
     source: HomNambuAlgebra | None = None
+    l_action: list | None = None
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
         out = {}

@@ -1,6 +1,7 @@
 """Tensor fundamental algebra, Leibniz coboundary, the lift, commuting square."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from homnambu.adjoint_cohomology import (
     equivariant_matrix_space,
     random_equivariant_cochain,
 )
-from homnambu.algebra import zero_algebra
+from homnambu.algebra import HomNambuAlgebra, is_valid, zero_algebra
 from homnambu.bridge import (
     BridgeCochain,
     LeibnizCochain,
@@ -255,3 +256,101 @@ def test_random_cochain_not_equivariant_on_twisted():
     rng = random.Random(43)
     phi = random_bridge_cochain(alg, leib, 1, rng)
     assert bridge_equivariance_violations(phi)
+
+
+def scaled(phi, c):
+    """The bridge cochain c * phi."""
+    if phi.degree == 0:
+        return BridgeCochain(phi.alg, phi.leib, 0, phi.coeffs * c)
+    coeffs = {k: {r: c * v for r, v in vec.items()} for k, vec in phi.coeffs.items()}
+    return BridgeCochain(phi.alg, phi.leib, phi.degree, coeffs)
+
+
+def rescaled_basis(alg, k, s):
+    """The same algebra in the basis where e_k is replaced by s * e_k."""
+    scale = [Fraction(1)] * alg.dim
+    scale[k] = Fraction(s)
+    coeffs = {}
+    for key, value in alg.coeffs.items():
+        w = math.prod(scale[i] for i in key)
+        coeffs[key] = tuple(w * v / scale[r] for r, v in enumerate(value))
+    twist = linalg.zeros(alg.dim, alg.dim)
+    for r, c in itertools.product(range(alg.dim), repeat=2):
+        twist[r, c] = alg.twist[r, c] * scale[c] / scale[r]
+    return HomNambuAlgebra(alg.dim, alg.arity, coeffs, twist)
+
+
+def test_rational_cochain_values():
+    # integral kernels meet Fraction cochain values: the square still
+    # commutes and d(lift(phi / 3)) is exactly d(lift phi) / 3
+    rng = random.Random(47)
+    third = Fraction(1, 3)
+    alg = fixtures.filippov_n3()
+    leib = tensor_fundamental_of(alg)
+    for p in (0, 1):
+        phi = random_bridge_cochain(alg, leib, p, rng)
+        phi3 = scaled(phi, third)
+        holds, residuals = check_commuting_square(phi3)
+        assert holds and not residuals
+        d_lift = leibniz_coboundary(leib, delta_lift(phi)).coeffs
+        d_lift3 = leibniz_coboundary(leib, delta_lift(phi3)).coeffs
+        assert d_lift and set(d_lift3) == set(d_lift)
+        for key, vec in d_lift.items():
+            assert d_lift3[key] == {r: third * v for r, v in vec.items()}
+        assert any(
+            isinstance(v, Fraction) and v.denominator == 3
+            for vec in d_lift3.values() for v in vec.values()
+        )
+
+
+def test_rational_structure_constants():
+    # volume_d3_twisted with e_1 halved: [e1,e2,e3] = -e1 - e2 + e3/2
+    alg = rescaled_basis(fixtures.volume_form_d3_twisted(), 0, Fraction(1, 2))
+    assert is_valid(alg)
+    assert alg.coeffs[(0, 1, 2)] == (-1, -1, Fraction(1, 2))
+    leib = build_tensor_fundamental(alg)
+    assert check_hom_leibniz(leib) == []
+    assert any(
+        isinstance(v, Fraction) and v.denominator == 2
+        for row in leib.table for cell in row for v in cell.values()
+    )
+    rng = random.Random(53)
+    phi0 = equivariant_matrix_cochain(alg, leib, rng)
+    phi1 = pullback_wedge_cochain(alg, leib, random_equivariant_cochain(alg, 1, rng))
+    for phi in (phi0, phi1, scaled(phi1, Fraction(1, 3))):
+        assert not delta_lift(phi).is_zero()
+        holds, residuals = check_commuting_square(phi)
+        assert holds and not residuals
+        assert delta_lift(phi).coeffs == delta_lift_ternary(phi).coeffs
+
+
+def flat_leibniz(phi, dim):
+    """Coordinates of a Leibniz cochain: component m of phi at the k-th
+    lex-ordered tuple is entry k * dim + m."""
+    if phi.degree == 0:
+        return [phi.coeffs.get(m, 0) for m in range(dim)]
+    tuples = itertools.product(range(dim), repeat=phi.degree)
+    return [phi.coeffs.get(t, {}).get(m, 0) for t in tuples for m in range(dim)]
+
+
+def test_leibniz_matrix_agrees_with_pointwise():
+    rng = random.Random(59)
+    for alg in (fixtures.volume_form_d3_twisted(), zero_algebra(3, 3)):
+        leib = build_tensor_fundamental(alg)
+        assert leib.dim == 9
+        for p in (0, 1, 2):
+            m = leibniz_coboundary_matrix(leib, p)
+            for _ in range(3):
+                if p == 0:
+                    coeffs = {rng.randrange(9): Fraction(rng.randint(-4, 4), rng.randint(1, 3))}
+                else:
+                    coeffs = {
+                        tuple(rng.randrange(9) for _ in range(p)): {
+                            rng.randrange(9): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        }
+                        for _ in range(12)
+                    }
+                phi = LeibnizCochain(leib, p, coeffs)
+                via_matrix = linalg.sparse_mat_vec(m, flat_leibniz(phi, 9))
+                pointwise = leibniz_coboundary(leib, phi)
+                assert list(via_matrix) == flat_leibniz(pointwise, 9)
