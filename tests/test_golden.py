@@ -6,8 +6,10 @@ arguments, the report without ``elapsed_seconds`` (the cocycle-basis
 file named by its file name, since the directory differs per run) and
 the SHA-256 of the basis file the job wrote (``null`` when dim Z = 0 and
 nothing is written).  The jobs are the committed-fixture jobs of the
-``scalar-complex`` and ``adjoint-complex`` benchmark workloads.  RREF is
-unique, so any correct elimination engine must reproduce these files
+``scalar-complex`` and ``adjoint-complex`` benchmark workloads, plus
+scalar degrees 0 and 1 (the degree-0 operator as the previous map), a
+split-mode adjoint job and an adjoint job with an identity twist.  RREF
+is unique, so any correct elimination engine must reproduce these files
 exactly.
 
 Each ``*.bridge.json`` file records one ``bridge-check --json`` job at a
@@ -52,6 +54,11 @@ JOBS = [
     ("sl2", 3, *ADJ),
     ("filippov_n4", 1, *ADJ),
     ("volume_d3_twisted", 2, *ADJ),
+    ("filippov_n3", 0),
+    ("filippov_n3_twisted", 1),
+    ("solvable_d4", 1),
+    ("filippov_n3", 1, *ADJ, "--mode", "split"),
+    ("solvable_d4", 2, *ADJ),
 ]
 
 # (fixture, degree, seed, extra flags); seeds whose cochain has full support
