@@ -8,9 +8,11 @@ The degree-p coboundary is the sum of four terms (1-based signs)::
     d3 = sum_i     (-1)^(i+1) L(a^p(x_i)) . psi(x_1, ..., ^x_i, ..., x_{p+1}, z)
     d4 = (-1)^p sum_s [a^p(y^1), ..., psi(x_1, ..., x_p, y^s), ..., a^p(y^(n-1)), a^p(z)]
 
-with y = x_{p+1} decomposed into its n-1 factors.  Cochains are
-required to intertwine the twist (equivariance); the reports are
-computed inside that subspace.
+with y = x_{p+1} decomposed into its n-1 factors.  d1 + d2 is the
+trivial-coefficient coboundary (:func:`cochains.delta_functional`),
+applied to every value component alike.  Cochains are required to
+intertwine the twist (equivariance); the reports are computed inside
+that subspace.
 
 Degree 0 is the derivation-defect extension
 
@@ -33,7 +35,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra, bracket_eval_sparse
-from .cochains import Cochain, CochainSpace, operator_respects_fusion
+from .cochains import Cochain, CochainSpace, delta_functional, operator_respects_fusion
+from .derivations import commutation_matrix
 from .fundamental import fundamental_of, l_action_sparse, wedge_of_vectors
 from .indices import sv_add, wedge_basis
 
@@ -118,65 +121,42 @@ def coboundary_matrix(
     d, n = alg.dim, alg.arity
     alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
     alpha_p_cols = [alg.twist_column_sparse(i, p) for i in range(d)]
-    wedge_alpha_p = _wedge_twist_power(fund, p)
+    units = [{c: ONE} for c in range(d)]
+
+    def slot_map(y, s, z):
+        fixed = [alpha_p_cols[t] for t in y] + [alpha_p_cols[z]]
+        return [bracket_eval_sparse(alg, fixed[:s] + [u] + fixed[s + 1:]) for u in units]
+
+    # weight matrices as lists of sparse columns: L(a^p(b)) per wedge id b,
+    # and [a^p(y^1), ..., e_c in slot s, ..., a^p(y^(n-1)), a^p(z)] per (y, s, z)
+    lpow = [[l_action_sparse(alg, fund.basis, lx, u) for u in units]
+            for lx in _wedge_twist_power(fund, p)]
+    fourth = [[[slot_map(y, s, z) for z in range(d)] for s in range(n - 1)] for y in fund.basis]
+    sign4 = 1 if p % 2 == 0 else -1  # (-1)^p
     m = linalg.SparseMatrix(space_out.dim, space_in.dim, {})
     for ki, key in enumerate(space_out.keys):
         block_ids, z = space_out.decode_args(key)
         q = len(block_ids)  # p + 1
-        units = [{b: ONE} for b in block_ids]
-        alpha_blocks = [fund.twist_sparse(u) for u in units]
-        z_unit = {z: ONE}
-        alpha_z = alpha_cols[z]
-
-        def add_scalar_term(fn, sign):
-            for in_key, w in fn.items():
-                for r in range(d):
-                    m.add(ki * d + r, space_in.coord(in_key, r), sign * w)
-
-        def add_matrix_term(fn, weight_cols, sign):
-            # weight_cols[c] = sparse column of the d x d weight matrix
-            for in_key, w in fn.items():
-                for c in range(d):
-                    for r, v in weight_cols[c].items():
-                        m.add(ki * d + r, space_in.coord(in_key, c), sign * w * v)
-
+        # d1 + d2 act on every value component alike
+        for in_key, w in delta_functional(alg, fund, space_in, alpha_cols, block_ids, z).items():
+            col = space_in.coord(in_key)
+            for r in range(d):
+                m.add(ki * d + r, col + r, w)
+        # d3 (sign (-1)^(i+1)) and d4 apply a weight matrix to psi's value
+        terms = []
         for i in range(q):
-            sign = Fraction(-1 if i % 2 == 0 else 1)  # (-1)^i, 1-based
-            # d1: bracket insertion at slot j, alpha on survivors and z
-            for j in range(i + 1, q):
-                bracket = fund.table[block_ids[i]][block_ids[j]]
-                if bracket:
-                    blocks = [alpha_blocks[t] for t in range(q) if t != i]
-                    blocks[j - 1] = bracket
-                    add_scalar_term(space_in.functional(blocks, alpha_z), sign)
-            # d2: L(x_i).z in the final slot
-            lz = l_action_sparse(alg, fund.basis, units[i], z_unit)
-            if lz:
-                blocks = [alpha_blocks[t] for t in range(q) if t != i]
-                add_scalar_term(space_in.functional(blocks, lz), sign)
-            # d3: L(alpha^p(x_i)) applied to psi at untwisted arguments
-            blocks = [units[t] for t in range(q) if t != i]
-            fn = space_in.functional(blocks, z_unit)
-            if fn:
-                lx = wedge_alpha_p[block_ids[i]]
-                weight_cols = [
-                    l_action_sparse(alg, fund.basis, lx, {c: ONE}) for c in range(d)
-                ]
-                add_matrix_term(fn, weight_cols, -sign)  # (-1)^(i+1) = -(-1)^i
-        # d4: psi feeds one factor of the last block into a bracket
-        sign4 = Fraction(1 if p % 2 == 0 else -1)  # (-1)^p
+            rest = [{block_ids[t]: ONE} for t in range(q) if t != i]
+            terms.append((rest, units[z], 1 if i % 2 == 0 else -1, lpow[block_ids[i]]))
         last = fund.basis[block_ids[-1]]
-        prefix = [units[t] for t in range(q - 1)]
+        prefix = [{b: ONE} for b in block_ids[:-1]]
         for s in range(n - 1):
-            fn = space_in.functional(prefix, {last[s]: ONE})
-            if not fn:
-                continue
-            fixed = [alpha_p_cols[last[t]] for t in range(n - 1)]
-            weight_cols = []
-            for c in range(d):
-                args = fixed[:s] + [{c: ONE}] + fixed[s + 1:] + [alg.twist_column_sparse(z, p)]
-                weight_cols.append(bracket_eval_sparse(alg, args))
-            add_matrix_term(fn, weight_cols, sign4)
+            terms.append((prefix, units[last[s]], sign4, fourth[block_ids[-1]][s][z]))
+        for blocks, final, sign, weight_cols in terms:
+            for in_key, w in space_in.functional(blocks, final).items():
+                col = space_in.coord(in_key)
+                for c, weights in enumerate(weight_cols):
+                    for r, v in weights.items():
+                        m.add(ki * d + r, col + c, sign * w * v)
     return m
 
 
@@ -222,29 +202,7 @@ def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.
 
 def equivariant_matrix_space(alg: HomNambuAlgebra) -> linalg.SubspaceBasis:
     """Matrices commuting with the twist, flattened row-major."""
-    d = alg.dim
-    rows = []
-    a = alg.twist
-    for r in range(d):
-        for c in range(d):
-            row = [ZERO] * (d * d)
-            for j in range(d):
-                row[r * d + j] += a[j, c]
-                row[j * d + c] -= a[r, j]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return linalg.SubspaceBasis(d * d, tuple(map(tuple, linalg.eye(d * d))))
-    return linalg.kernel_basis(linalg.mat(rows))
-
-
-def _restrict_columns(m: linalg.SparseMatrix, basis: linalg.SubspaceBasis) -> linalg.SparseMatrix:
-    cols = linalg.SparseMatrix(basis.ambient_dim, basis.dim, {})
-    for j, v in enumerate(basis.vectors):
-        for i, x in enumerate(v):
-            if x:
-                cols.add(i, j, x)
-    return linalg.sparse_matmul(m, cols)
+    return linalg.kernel_basis(commutation_matrix(alg))
 
 
 def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointReport:
@@ -256,33 +214,20 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointRepo
     """
     if p < 1:
         raise ValueError("adjoint reports start at degree 1")
-    space = CochainSpace(alg, p, "adjoint", mode)
     equi = equivariant_basis(alg, p, mode)
-    out_mode = "split" if mode == "fused" else mode
-    delta = coboundary_matrix(alg, p, mode, out_mode)
-    restricted = _restrict_columns(delta, equi)
-    coords = linalg.kernel_basis(restricted)
-    z_vectors = []
-    for cv in coords.vectors:
-        vec = [ZERO] * space.dim
-        for j, c in enumerate(cv):
-            if c:
-                for i, x in enumerate(equi.vectors[j]):
-                    if x:
-                        vec[i] += c * x
-        z_vectors.append(tuple(vec))
-    z = linalg.SubspaceBasis(space.dim, tuple(z_vectors))
+    delta = coboundary_matrix(alg, p, mode, "split")
     if p == 1:
-        prev = _restrict_columns(zero_coboundary_matrix(alg, mode), equivariant_matrix_space(alg))
+        prev = linalg.restrict_columns(
+            zero_coboundary_matrix(alg, mode), equivariant_matrix_space(alg)
+        )
     else:
-        prev = _restrict_columns(
+        prev = linalg.restrict_columns(
             coboundary_matrix(alg, p - 1, mode), equivariant_basis(alg, p - 1, mode)
         )
-    b = linalg.image_basis(prev)
-    dim_h = linalg.quotient_dim(z, b)
+    z, b, dim_h = linalg.homology(delta, prev, equi)
     return AdjointReport(
         degree=p,
-        dim_c=space.dim,
+        dim_c=delta.cols,
         dim_equivariant=equi.dim,
         dim_z=z.dim,
         dim_b=b.dim,

@@ -80,6 +80,16 @@ def _require_valid(alg):
         raise Refused(f"algebra does not validate ({failing}); refusing")
 
 
+def _pick_cochain(args, alg):
+    """The cochain at the 1-based ``--index`` of the ``--cochain`` file."""
+    cochains = formats.load_cochains(args.cochain, alg)
+    if not cochains:
+        raise Refused("cochain file holds no cochains")
+    if not 1 <= args.index <= len(cochains):
+        raise Refused(f"cochain index {args.index} out of range (file holds {len(cochains)})")
+    return cochains[args.index - 1]
+
+
 def _algebra_summary(alg) -> dict:
     return {
         "dim": alg.dim,
@@ -194,6 +204,9 @@ def cmd_fundamental(args) -> tuple:
 
 def cmd_cohomology(args) -> tuple:
     alg = _load(args.algebra)
+    lowest = 0 if args.coefficients == "trivial" else 1
+    if args.degree < lowest:
+        raise Refused(f"{args.coefficients} cohomology starts at degree {lowest}")
     _require_valid(alg)
     if args.coefficients == "trivial":
         rep = scalar_cohomology.cohomology(alg, args.degree, args.mode)
@@ -243,13 +256,7 @@ def cmd_cohomology(args) -> tuple:
 def cmd_extend(args) -> tuple:
     alg = _load(args.algebra)
     _require_valid(alg)
-    cochains = formats.load_cochains(args.cochain, alg)
-    if not cochains:
-        raise Refused("cochain file holds no cochains")
-    index = args.index - 1
-    if not 0 <= index < len(cochains):
-        raise Refused(f"cochain index {args.index} out of range (file holds {len(cochains)})")
-    phi = cochains[index]
+    phi = _pick_cochain(args, alg)
     if phi.space.degree != 1 or phi.space.kind != "scalar":
         raise Refused("extensions need a scalar degree-1 cochain")
     lam = None
@@ -276,10 +283,7 @@ def cmd_extend(args) -> tuple:
 def cmd_deform_check(args) -> tuple:
     alg = _load(args.algebra)
     _require_valid(alg)
-    cochains = formats.load_cochains(args.cochain, alg)
-    if not cochains:
-        raise Refused("cochain file holds no cochains")
-    psi = cochains[args.index - 1]
+    psi = _pick_cochain(args, alg)
     if psi.space.degree != 1 or psi.space.kind != "adjoint":
         raise Refused("deformation checks need an adjoint degree-1 cochain")
     verdict = adjoint_cohomology.check_infinitesimal_deformation(alg, psi)

@@ -19,6 +19,11 @@ Canonical keys: ``(b_1, ..., b_{p-1}, m)`` in fused mode, with block ids
 increasing n-tuples; ``(b_1, ..., b_p, z)`` in split mode with ``z`` a
 basis index.  Degree 0 is not stored here (it is a covector or a matrix
 and the complexes handle it directly).
+
+:func:`delta_functional` holds the two coboundary terms that do not act
+on values, bracket insertion and L(x_i).z in the final slot; it is the
+whole trivial-coefficient coboundary and the scalar part of the adjoint
+one.
 """
 
 from __future__ import annotations
@@ -30,6 +35,7 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import HomNambuAlgebra
+from .fundamental import l_action_sparse
 from .indices import sort_with_sign, sv_add, sv_to_dense, wedge_basis
 
 ONE = Fraction(1)
@@ -239,19 +245,28 @@ def operator_respects_fusion(space_split: CochainSpace, m: linalg.SparseMatrix) 
     )
 
 
-def fused_to_split_embedding(space_fused: CochainSpace, space_split: CochainSpace):
-    """Sparse matrix turning fused coordinates into split coordinates."""
-    if space_fused.mode != "fused" or space_split.mode != "split":
-        raise CochainError("expected fused and split spaces")
-    m = linalg.SparseMatrix(space_split.dim, space_fused.dim, {})
-    d = space_fused.value_dim
-    n = space_fused.alg.arity
-    for s_idx, key in enumerate(space_split.keys):
-        blocks, z = key[:-1], key[-1]
-        merged, sign = sort_with_sign(space_split.wedge[blocks[-1]] + (z,))
-        if sign == 0:
-            continue
-        f_key = blocks[:-1] + (space_fused.nindex[merged],)
-        for comp in range(d):
-            m.add(s_idx * d + comp, space_fused.coord(f_key, comp), Fraction(sign))
-    return m
+def delta_functional(alg, fund, space_in, alpha_cols, block_ids, z) -> dict:
+    """Read weights of (d phi) at canonical arguments, as a functional in
+    phi's stored coordinates."""
+    q = len(block_ids)  # p + 1
+    out = {}
+    units = [{b: ONE} for b in block_ids]
+    alpha_blocks = [fund.twist_sparse(u) for u in units]
+    z_unit = {z: ONE}
+    alpha_z = alpha_cols[z]
+    for i in range(q):
+        sign = Fraction(-1 if i % 2 == 0 else 1)  # (-1)^(i+1) 1-based
+        for j in range(i + 1, q):
+            bracket = fund.table[block_ids[i]][block_ids[j]]
+            if not bracket:
+                continue
+            blocks = [alpha_blocks[t] for t in range(q) if t != i]
+            blocks[j - 1] = bracket  # slot j, with slot i removed
+            for in_key, w in space_in.functional(blocks, alpha_z).items():
+                sv_add(out, in_key, sign * w)
+        lz = l_action_sparse(alg, fund.basis, units[i], z_unit)
+        if lz:
+            blocks = [alpha_blocks[t] for t in range(q) if t != i]
+            for in_key, w in space_in.functional(blocks, lz).items():
+                sv_add(out, in_key, sign * w)
+    return out

@@ -44,16 +44,24 @@ class Derivation:
     level: int
 
 
-def flatten_matrix(m) -> tuple:
-    m = np.asarray(m, dtype=object)
-    return tuple(m[r, c] for r in range(m.shape[0]) for c in range(m.shape[1]))
-
-
 def unflatten_matrix(flat, d) -> np.ndarray:
     m = linalg.zeros(d, d)
     for r in range(d):
         for c in range(d):
             m[r, c] = Fraction(flat[r * d + c])
+    return m
+
+
+def commutation_matrix(alg: HomNambuAlgebra) -> linalg.SparseMatrix:
+    """Rows (D A - A D)[r, c] on flattened d x d matrices D, A the twist;
+    its kernel is the commutant of the twist."""
+    d, a = alg.dim, alg.twist
+    m = linalg.SparseMatrix(d * d, d * d, {})
+    for r in range(d):
+        for c in range(d):
+            for j in range(d):
+                m.add(r * d + c, r * d + j, a[j, c])
+                m.add(r * d + c, j * d + c, -a[r, j])
     return m
 
 
@@ -108,33 +116,20 @@ def derivation_space(alg: HomNambuAlgebra, k: int) -> linalg.SubspaceBasis:
     if k < -1:
         raise LevelUnderflowError(k)
     d, n = alg.dim, alg.arity
-    rows = []
-    # twist commutation: (D A - A D)[r, c] = 0
-    a = alg.twist
-    for r in range(d):
-        for c in range(d):
-            row = [Fraction(0)] * (d * d)
-            for j in range(d):
-                row[r * d + j] += a[j, c]
-                row[j * d + c] -= a[r, j]
-            if any(row):
-                rows.append(row)
+    keys = wedge_basis(d, n)
+    m = linalg.SparseMatrix((d + len(keys)) * d, d * d, commutation_matrix(alg).entries)
     # twisted Leibniz rule per increasing tuple, per output component
-    for key in wedge_basis(d, n):
+    for t, key in enumerate(keys):
         value = alg.bracket_basis(key)
         slots = _slot_matrices(alg, key, k)
         for r in range(d):
-            row = [Fraction(0)] * (d * d)
+            row = (d + t) * d + r
             for j in range(d):
-                row[r * d + j] += value[j]
+                m.add(row, r * d + j, value[j])
             for i in range(n):
                 for j in range(d):
-                    row[j * d + key[i]] -= slots[i][r, j]
-            if any(row):
-                rows.append(row)
-    if not rows:
-        return linalg.SubspaceBasis(d * d, tuple(map(tuple, linalg.eye(d * d))))
-    return linalg.kernel_basis(linalg.mat(rows))
+                    m.add(row, j * d + key[i], -slots[i][r, j])
+    return linalg.kernel_basis(m)
 
 
 def inner_derivation(alg: HomNambuAlgebra, xs, k: int) -> Derivation:

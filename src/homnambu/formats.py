@@ -234,6 +234,8 @@ def loads_cochains(text: str, alg):
         raise ParseError(f"expected 'kind = scalar|adjoint', got {kind_line!r}", lines[0][0])
     kind = m.group(1)
     degree = _parse_header(lines[1][1], "degree", lines[1][0])
+    if degree < 1:
+        raise ParseError("cochain files start at degree 1", lines[1][0])
     dim = _parse_header(lines[2][1], "dim", lines[2][0])
     arity = _parse_header(lines[3][1], "arity", lines[3][0])
     mode_line = lines[4][1]

@@ -70,12 +70,6 @@ def sv_add(acc: dict, key, coeff) -> None:
         acc.pop(key, None)
 
 
-def sv_scale(vec: dict, coeff) -> dict:
-    if not coeff:
-        return {}
-    return {k: v * coeff for k, v in vec.items()}
-
-
 def sv_from_dense(entries) -> dict:
     return {i: Fraction(v) for i, v in enumerate(entries) if v}
 
@@ -85,7 +79,3 @@ def sv_to_dense(vec: dict, length: int) -> tuple:
     for k, v in vec.items():
         out[k] = v
     return tuple(out)
-
-
-def unit_sv(index: int) -> dict:
-    return {index: Fraction(1)}

@@ -23,11 +23,10 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .cochains import Cochain, CochainSpace, operator_respects_fusion
-from .fundamental import fundamental_of, l_action_sparse
-from .indices import levi_civita, sv_add, wedge_basis
+from .cochains import Cochain, CochainSpace, delta_functional, operator_respects_fusion
+from .fundamental import fundamental_of
+from .indices import levi_civita, wedge_basis
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 
@@ -78,36 +77,9 @@ def coboundary_matrix(
     m = linalg.SparseMatrix(space_out.dim, space_in.dim, {})
     for row, key in enumerate(space_out.keys):
         block_ids, z = space_out.decode_args(key)
-        for in_key, w in _delta_functional(alg, fund, space_in, alpha_cols, block_ids, z).items():
+        for in_key, w in delta_functional(alg, fund, space_in, alpha_cols, block_ids, z).items():
             m.add(row, space_in.key_index[in_key], w)
     return m
-
-
-def _delta_functional(alg, fund, space_in, alpha_cols, block_ids, z) -> dict:
-    """Read weights of (d phi) at canonical arguments, as a functional in
-    phi's stored coordinates."""
-    q = len(block_ids)  # p + 1
-    out = {}
-    units = [{b: ONE} for b in block_ids]
-    alpha_blocks = [fund.twist_sparse(u) for u in units]
-    z_unit = {z: ONE}
-    alpha_z = alpha_cols[z]
-    for i in range(q):
-        sign = Fraction(-1 if i % 2 == 0 else 1)  # (-1)^(i+1) 1-based
-        for j in range(i + 1, q):
-            bracket = fund.table[block_ids[i]][block_ids[j]]
-            if not bracket:
-                continue
-            blocks = [alpha_blocks[t] for t in range(q) if t != i]
-            blocks[j - 1] = bracket  # slot j, with slot i removed
-            for in_key, w in space_in.functional(blocks, alpha_z).items():
-                sv_add(out, in_key, sign * w)
-        lz = l_action_sparse(alg, fund.basis, units[i], z_unit)
-        if lz:
-            blocks = [alpha_blocks[t] for t in range(q) if t != i]
-            for in_key, w in space_in.functional(blocks, lz).items():
-                sv_add(out, in_key, sign * w)
-    return out
 
 
 def apply_coboundary(alg: HomNambuAlgebra, phi: Cochain, out_mode: str | None = None) -> Cochain:
@@ -139,20 +111,13 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> CohomologyR
     if p < 0:
         raise ValueError("degree must be >= 0")
     if p == 0:
-        m = zero_coboundary_matrix(alg, mode)
-        z = linalg.kernel_basis(m)
-        b = linalg.SubspaceBasis(alg.dim, ())
-        return CohomologyReport(0, alg.dim, z.dim, 0, z.dim, z, b, mode)
-    space = CochainSpace(alg, p, "scalar", mode)
-    out_mode = "split" if mode == "fused" else mode
-    z = linalg.kernel_basis(coboundary_matrix(alg, p, mode, out_mode))
-    if p == 1:
-        prev = zero_coboundary_matrix(alg, mode)
+        delta = zero_coboundary_matrix(alg, mode)
+        prev = linalg.SparseMatrix(alg.dim, 0, {})
     else:
-        prev = coboundary_matrix(alg, p - 1, mode)
-    b = linalg.image_basis(prev)
-    dim_h = linalg.quotient_dim(z, b)
-    return CohomologyReport(p, space.dim, z.dim, b.dim, dim_h, z, b, mode)
+        delta = coboundary_matrix(alg, p, mode, "split")
+        prev = zero_coboundary_matrix(alg, mode) if p == 1 else coboundary_matrix(alg, p - 1, mode)
+    z, b, dim_h = linalg.homology(delta, prev)
+    return CohomologyReport(p, delta.cols, z.dim, b.dim, dim_h, z, b, mode)
 
 
 # -- central extensions -------------------------------------------------------

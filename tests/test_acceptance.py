@@ -110,7 +110,7 @@ def test_criterion_04_delta_squared_adjoint_equivariant():
         alg = table[name]
         for p in (1, 2):
             equi = ac.equivariant_basis(alg, p)
-            lo = ac._restrict_columns(ac.coboundary_matrix(alg, p), equi)
+            lo = linalg.restrict_columns(ac.coboundary_matrix(alg, p), equi)
             hi = ac.coboundary_matrix(alg, p + 1)
             assert linalg.sparse_matmul(hi, lo).is_zero(), (name, p)
     _ok(

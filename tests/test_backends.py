@@ -120,7 +120,7 @@ def fixture_operators(path):
     equi = adjoint_cohomology.equivariant_basis(alg, 1)
     yield "scalar p=1", scalar_cohomology.coboundary_matrix(alg, 1)
     yield "scalar p=2", scalar_cohomology.coboundary_matrix(alg, 2)
-    yield "adjoint p=1 restricted", adjoint_cohomology._restrict_columns(
+    yield "adjoint p=1 restricted", linalg.restrict_columns(
         adjoint_cohomology.coboundary_matrix(alg, 1), equi
     )
 

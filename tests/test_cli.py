@@ -283,3 +283,41 @@ def test_roundtrip_byte_stability(tmp_path, capsys):
     copy = tmp_path / "copy.alg"
     copy.write_text(text)
     assert dumps_algebra(load_algebra(copy)) == text
+
+
+def test_deform_check_index_out_of_range_exit_4(tmp_path, capsys):
+    alg = load_algebra(FIXDIR / "filippov_n3.alg")
+    cfile = tmp_path / "two.cochains"
+    space = CochainSpace(alg, 1, "adjoint")
+    save_cochains([Cochain.zero(space), Cochain.zero(space)], cfile)
+    for index in (99, 3, 0, -1):
+        code, _, err = run(
+            capsys, "deform-check", FIXDIR / "filippov_n3.alg", "--cochain", cfile, "--index", index
+        )
+        assert code == 4, index
+        assert "out of range (file holds 2)" in err
+
+
+def test_cohomology_negative_degree_exit_4(capsys):
+    code, out, err = run(capsys, "cohomology", FIXDIR / "filippov_n3.alg", "-p", -1)
+    assert code == 4
+    assert out == ""
+    assert "trivial cohomology starts at degree 0" in err
+
+
+def test_cohomology_adjoint_degree_0_exit_4(capsys):
+    code, out, err = run(
+        capsys, "cohomology", FIXDIR / "filippov_n3.alg", "-p", 0, "--coefficients", "adjoint"
+    )
+    assert code == 4
+    assert out == ""
+    assert "adjoint cohomology starts at degree 1" in err
+
+
+def test_cochain_file_of_degree_0_exit_2(tmp_path, capsys):
+    cfile = tmp_path / "zero.cochains"
+    cfile.write_text("kind = adjoint\ndegree = 0\ndim = 4\narity = 3\nmode = fused\n")
+    code, _, err = run(capsys, "deform-check", FIXDIR / "filippov_n3.alg", "--cochain", cfile)
+    assert code == 2
+    assert "line 2" in err
+    assert "degree 1" in err

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from homnambu import adjoint_cohomology, fixtures
 from homnambu.linalg import (
     NotASubspaceError,
     SparseMatrix,
     SubspaceBasis,
     eye,
+    homology,
     image_basis,
     kernel_basis,
     mat,
@@ -154,3 +156,34 @@ def test_sparse_matmul_matches_dense():
     b = SparseMatrix(3, 2, {(0, 1): Fraction(3), (2, 0): Fraction(1, 2), (1, 0): Fraction(5)})
     prod = sparse_matmul(a, b)
     assert np.array_equal(prod.to_dense(), matmul(a.to_dense(), b.to_dense()))
+
+
+@pytest.mark.parametrize("name", ["twisted_filippov_rotation", "volume_form_d3_twisted"])
+@pytest.mark.parametrize("p", [1, 2])
+def test_homology_on_domain_is_kernel_of_stacked_equivariance(name, p):
+    alg = getattr(fixtures, name)()
+    delta = adjoint_cohomology.coboundary_matrix(alg, p, "fused", "split")
+    equi = adjoint_cohomology.equivariant_basis(alg, p)
+    z, b, dim_h = homology(delta, SparseMatrix(delta.cols, 0, {}), equi)
+    eq = adjoint_cohomology.equivariance_matrix(alg, p)
+    stacked = dict(delta.entries)
+    stacked.update({(r + delta.rows, c): v for (r, c), v in eq.entries.items()})
+    ref = kernel_basis(SparseMatrix(delta.rows + eq.rows, delta.cols, stacked))
+    assert z.ambient_dim == ref.ambient_dim == delta.cols
+    assert z.dim == ref.dim == dim_h > 0
+    assert rank((*z.vectors, *ref.vectors)) == ref.dim
+    assert b.dim == 0
+
+
+def test_homology_rejects_boundaries_outside_cycles():
+    delta = SparseMatrix(1, 2, {(0, 0): Fraction(1)})  # kernel: e_2
+    prev = SparseMatrix(2, 1, {(0, 0): Fraction(1)})  # image: e_1
+    with pytest.raises(NotASubspaceError):
+        homology(delta, prev)
+
+
+def test_homology_zero_column_prev_gives_empty_boundaries():
+    delta = SparseMatrix(1, 3, {(0, 0): Fraction(1), (0, 1): Fraction(-1)})
+    z, b, dim_h = homology(delta, SparseMatrix(3, 0, {}))
+    assert b == SubspaceBasis(3, ())
+    assert z.dim == dim_h == 2
