@@ -9,9 +9,9 @@ structure constants plus a twist matrix and mechanizes, over Q:
 * derivation spaces at every twist power, inner derivations and their
   commutator calculus, and representation checks;
 * the induced binary Hom-Leibniz algebra on the fundamental set;
-* two cochain complexes (trivial and algebra coefficients) with exact
-  kernel/image/quotient reports, central extensions and infinitesimal
-  deformations;
+* one cochain complex with coefficients in a representation, whose
+  trivial and adjoint instances get exact kernel/image/quotient
+  reports, central extensions and infinitesimal deformations;
 * the lift into Hom-Leibniz cohomology and its commuting-square check.
 """
 

@@ -1,17 +1,10 @@
-"""Algebra-valued cohomology: equivariant cochains, the four-term
-coboundary, infinitesimal deformations.
+"""Algebra-valued cohomology: equivariant cochains, the coboundary,
+infinitesimal deformations.
 
-The degree-p coboundary is the sum of four terms (1-based signs)::
-
-    d1 = sum_{i<j} (-1)^i   psi(a(x_1), ..., ^x_i, ..., [x_i,x_j], ..., a(x_{p+1}), a(z))
-    d2 = sum_i     (-1)^i   psi(a(x_1), ..., ^x_i, ..., a(x_{p+1}), L(x_i).z)
-    d3 = sum_i     (-1)^(i+1) L(a^p(x_i)) . psi(x_1, ..., ^x_i, ..., x_{p+1}, z)
-    d4 = (-1)^p sum_s [a^p(y^1), ..., psi(x_1, ..., x_p, y^s), ..., a^p(y^(n-1)), a^p(z)]
-
-with y = x_{p+1} decomposed into its n-1 factors.  d1 + d2 is the
-trivial-coefficient coboundary (:func:`cochains.delta_functional`),
-applied to every value component alike.  Cochains are required to
-intertwine the twist (equivariance); the reports are computed inside
+The adjoint complex is the complex of :mod:`homnambu.cochains` with
+values in the adjoint representation (V = L, rho(x) = L(x), nu the
+twist), which states its four-term coboundary.  Cochains are required
+to intertwine the twist (equivariance); the reports are computed inside
 that subspace.
 
 Degree 0 is the derivation-defect extension
@@ -19,7 +12,7 @@ Degree 0 is the derivation-defect extension
     (d psi)(x_1, ..., x_n) = sum_i [x_1, ..., psi(x_i), ..., x_n] - psi([x_1, ..., x_n])
 
 restricted to equivariant matrices psi.  It is exactly the degree-0
-case of the formula above, and its image consists of cocycles: for
+case of the general formula, and its image consists of cocycles: for
 equivariant psi, conjugating the bracket by id + t psi changes neither
 the twist (to first order) nor the validity of the fundamental
 identity, so the defect is precisely the tangent direction of a change
@@ -33,11 +26,11 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import cochains, linalg
 from .algebra import AlgebraError, HomNambuAlgebra, bracket_eval_sparse
-from .cochains import Cochain, CochainSpace, delta_functional, operator_respects_fusion
-from .derivations import commutation_matrix
-from .fundamental import fundamental_of, l_action_sparse, wedge_of_vectors
+from .cochains import Cochain, CochainSpace, operator_respects_fusion
+from .derivations import adjoint_representation, commutation_matrix
+from .fundamental import wedge_of_vectors
 from .indices import sv_add, wedge_basis
 
 ONE = Fraction(1)
@@ -64,34 +57,10 @@ class AdjointReport:
     mode: str = "fused"
 
 
-def _wedge_twist_power(fund, k: int):
-    """Columns of the induced twist power on the wedge basis."""
-    cols = [{i: ONE} for i in range(fund.dim)]
-    for _ in range(k):
-        cols = [fund.twist_sparse(c) for c in cols]
-    return cols
-
-
 def equivariance_matrix(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> linalg.SparseMatrix:
     """Rows of a . psi(args) - psi(a args) over canonical tuples; the
     equivariant subspace is the kernel."""
-    space = CochainSpace(alg, p, "adjoint", mode)
-    fund = fundamental_of(alg)
-    d = alg.dim
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    m = linalg.SparseMatrix(space.dim, space.dim, {})
-    for ki, key in enumerate(space.keys):
-        block_ids, z = space.decode_args(key)
-        for r in range(d):
-            for c in range(d):
-                v = alg.twist[r, c]
-                if v:
-                    m.add(ki * d + r, space.coord(key, c), v)
-        blocks = [fund.twist_sparse({b: ONE}) for b in block_ids]
-        for in_key, w in space.functional(blocks, alpha_cols[z]).items():
-            for r in range(d):
-                m.add(ki * d + r, space.coord(in_key, r), -w)
-    return m
+    return cochains.equivariance_matrix(alg, adjoint_representation(alg), p, mode)
 
 
 def equivariant_basis(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> linalg.SubspaceBasis:
@@ -115,49 +84,7 @@ def coboundary_matrix(
     alg: HomNambuAlgebra, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
     """Sparse matrix of the four-term degree-p coboundary, p >= 1."""
-    fund = fundamental_of(alg)
-    space_in = CochainSpace(alg, p, "adjoint", mode)
-    space_out = CochainSpace(alg, p + 1, "adjoint", out_mode or mode)
-    d, n = alg.dim, alg.arity
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    alpha_p_cols = [alg.twist_column_sparse(i, p) for i in range(d)]
-    units = [{c: ONE} for c in range(d)]
-
-    def slot_map(y, s, z):
-        fixed = [alpha_p_cols[t] for t in y] + [alpha_p_cols[z]]
-        return [bracket_eval_sparse(alg, fixed[:s] + [u] + fixed[s + 1:]) for u in units]
-
-    # weight matrices as lists of sparse columns: L(a^p(b)) per wedge id b,
-    # and [a^p(y^1), ..., e_c in slot s, ..., a^p(y^(n-1)), a^p(z)] per (y, s, z)
-    lpow = [[l_action_sparse(alg, fund.basis, lx, u) for u in units]
-            for lx in _wedge_twist_power(fund, p)]
-    fourth = [[[slot_map(y, s, z) for z in range(d)] for s in range(n - 1)] for y in fund.basis]
-    sign4 = 1 if p % 2 == 0 else -1  # (-1)^p
-    m = linalg.SparseMatrix(space_out.dim, space_in.dim, {})
-    for ki, key in enumerate(space_out.keys):
-        block_ids, z = space_out.decode_args(key)
-        q = len(block_ids)  # p + 1
-        # d1 + d2 act on every value component alike
-        for in_key, w in delta_functional(alg, fund, space_in, alpha_cols, block_ids, z).items():
-            col = space_in.coord(in_key)
-            for r in range(d):
-                m.add(ki * d + r, col + r, w)
-        # d3 (sign (-1)^(i+1)) and d4 apply a weight matrix to psi's value
-        terms = []
-        for i in range(q):
-            rest = [{block_ids[t]: ONE} for t in range(q) if t != i]
-            terms.append((rest, units[z], 1 if i % 2 == 0 else -1, lpow[block_ids[i]]))
-        last = fund.basis[block_ids[-1]]
-        prefix = [{b: ONE} for b in block_ids[:-1]]
-        for s in range(n - 1):
-            terms.append((prefix, units[last[s]], sign4, fourth[block_ids[-1]][s][z]))
-        for blocks, final, sign, weight_cols in terms:
-            for in_key, w in space_in.functional(blocks, final).items():
-                col = space_in.coord(in_key)
-                for c, weights in enumerate(weight_cols):
-                    for r, v in weights.items():
-                        m.add(ki * d + r, col + c, sign * w * v)
-    return m
+    return cochains.coboundary_matrix(alg, adjoint_representation(alg), p, mode, out_mode)
 
 
 def apply_coboundary(alg: HomNambuAlgebra, psi: Cochain, out_mode: str | None = None) -> Cochain:
@@ -182,22 +109,7 @@ def coboundary_preserves_fusion(alg: HomNambuAlgebra, p: int) -> bool:
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.SparseMatrix:
     """Matrix of psi (d x d, row-major) -> derivation defect of psi."""
-    space = CochainSpace(alg, 1, "adjoint", mode)
-    d, n = alg.dim, alg.arity
-    m = linalg.SparseMatrix(space.dim, d * d, {})
-    for ki, key in enumerate(space.keys):
-        block_ids, z = space.decode_args(key)
-        args = space.wedge[block_ids[0]] + (z,)
-        for i in range(n):
-            for c in range(d):
-                slotted = [{t: ONE} for t in args]
-                slotted[i] = {c: ONE}
-                for r, v in bracket_eval_sparse(alg, slotted).items():
-                    m.add(ki * d + r, c * d + args[i], v)
-        for c, v in alg.bracket_basis_sparse(args).items():
-            for r in range(d):
-                m.add(ki * d + r, r * d + c, -v)
-    return m
+    return cochains.zero_coboundary_matrix(alg, adjoint_representation(alg), mode)
 
 
 def equivariant_matrix_space(alg: HomNambuAlgebra) -> linalg.SubspaceBasis:

@@ -242,22 +242,25 @@ def check_hom_nambu_identity(alg: HomNambuAlgebra):
     return violations
 
 
-def check_multiplicativity(alg: HomNambuAlgebra):
-    """Check twist(bracket) = bracket(twist, ..., twist) on basis tuples."""
-    d = alg.dim
-    violations = []
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    for key in wedge_basis(d, alg.arity):
-        lhs = {}
+def _endomorphism_defects(alg: HomNambuAlgebra, cols):
+    """``(key, rho(bracket) - bracket(rho, ..., rho))`` on every increasing
+    basis tuple where it is nonzero; ``cols`` are rho's sparse columns."""
+    for key in wedge_basis(alg.dim, alg.arity):
+        diff = {}
         for idx, v in alg.bracket_basis_sparse(key).items():
-            for r, w in alpha_cols[idx].items():
-                sv_add(lhs, r, v * w)
-        rhs = bracket_eval_sparse(alg, [alpha_cols[i] for i in key])
-        diff = dict(lhs)
-        for idx, v in rhs.items():
+            for r, w in cols[idx].items():
+                sv_add(diff, r, v * w)
+        for idx, v in bracket_eval_sparse(alg, [cols[i] for i in key]).items():
             sv_add(diff, idx, -v)
         if diff:
-            violations.append((key, diff))
+            yield key, diff
+
+
+def check_multiplicativity(alg: HomNambuAlgebra):
+    """Check twist(bracket) = bracket(twist, ..., twist) on basis tuples."""
+    violations = list(
+        _endomorphism_defects(alg, [alg.twist_column_sparse(i) for i in range(alg.dim)])
+    )
     if not violations:
         alg.multiplicative_checked = True
     return violations
@@ -283,19 +286,8 @@ def endomorphism_failure(alg: HomNambuAlgebra, rho):
     """First increasing basis tuple where rho fails to be a bracket
     endomorphism, or None."""
     rho = np.asarray(rho, dtype=object)
-    rho_cols = [{r: rho[r, i] for r in range(alg.dim) if rho[r, i]} for i in range(alg.dim)]
-    for key in wedge_basis(alg.dim, alg.arity):
-        lhs = {}
-        for idx, v in alg.bracket_basis_sparse(key).items():
-            for r, w in rho_cols[idx].items():
-                sv_add(lhs, r, v * w)
-        rhs = bracket_eval_sparse(alg, [rho_cols[i] for i in key])
-        diff = dict(lhs)
-        for idx, v in rhs.items():
-            sv_add(diff, idx, -v)
-        if diff:
-            return key
-    return None
+    cols = [{r: rho[r, i] for r in range(alg.dim) if rho[r, i]} for i in range(alg.dim)]
+    return next((key for key, _ in _endomorphism_defects(alg, cols)), None)
 
 
 def yau_twist(nambu: HomNambuAlgebra, rho) -> HomNambuAlgebra:

@@ -65,16 +65,8 @@ def _load(path) -> algebra.HomNambuAlgebra:
     return formats.load_algebra(path)
 
 
-def _validated(alg) -> dict:
-    return {
-        "skew": algebra.check_skew_symmetry(alg),
-        "hom_nambu": algebra.check_hom_nambu_identity(alg),
-        "multiplicative": algebra.check_multiplicativity(alg),
-    }
-
-
 def _require_valid(alg):
-    bad = _validated(alg)
+    bad = algebra.validate(alg)
     if any(bad.values()):
         failing = ", ".join(name for name, v in bad.items() if v)
         raise Refused(f"algebra does not validate ({failing}); refusing")
@@ -122,7 +114,7 @@ def _emit(report: dict, as_json: bool) -> None:
 
 def cmd_validate(args) -> tuple:
     alg = _load(args.algebra)
-    results = _validated(alg)
+    results = algebra.validate(alg)
     outcome = {}
     for name, violations in results.items():
         if not violations:
@@ -186,7 +178,7 @@ def cmd_derivations(args) -> tuple:
 def cmd_fundamental(args) -> tuple:
     alg = _load(args.algebra)
     _require_valid(alg)
-    fund = fundamental_mod.build_fundamental(alg)
+    fund = fundamental_mod.fundamental_of(alg)
     leibniz_ok = not fundamental_mod.check_hom_leibniz(fund)
     l_ok = not fundamental_mod.check_l_compatibility(alg)
     if args.output:
@@ -233,13 +225,16 @@ def cmd_cohomology(args) -> tuple:
     basis_out = args.basis_out
     if basis_out is None:
         stem = Path(args.algebra).stem
-        basis_out = str(Path.cwd() / f"{stem}.z{args.degree}.{kind}.cochains")
+        suffix = "matrix" if args.degree == 0 else "cochains"
+        basis_out = str(Path.cwd() / f"{stem}.z{args.degree}.{kind}.{suffix}")
     written = None
-    if cocycles.vectors and args.degree >= 1:
-        space = CochainSpace(alg, args.degree, kind, args.mode)
-        formats.save_cochains(
-            [Cochain.from_flat(space, v) for v in cocycles.vectors], basis_out
-        )
+    if cocycles.vectors:
+        if args.degree == 0:
+            formats.save_matrix(cocycles.matrix(), basis_out)  # one covector per row
+        else:
+            space = CochainSpace(alg, args.degree, kind, args.mode)
+            cochains = [Cochain.from_flat(space, v) for v in cocycles.vectors]
+            formats.save_cochains(cochains, basis_out)
         written = basis_out
     report = {
         "command": "cohomology",

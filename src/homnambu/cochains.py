@@ -1,9 +1,11 @@
-"""Cochain spaces shared by the two cohomology complexes.
+"""Cochain spaces and the coboundary with values in a representation.
 
 A degree-p cochain takes p arguments from the fundamental set (wedges of
 n-1 algebra elements) plus one algebra element, i.e. p(n-1)+1 vector
-slots in total.  Values are scalars (trivial coefficients) or algebra
-elements (adjoint coefficients).
+slots, and takes values in the module V of a representation (rho, nu):
+rho sends n-1 algebra elements, skew, to an endomorphism of V and nu is
+a linear map of V.  :class:`Cochain` holds scalar values (V = Q) or
+algebra elements (the adjoint module).
 
 Two storage modes fix the symmetry type:
 
@@ -17,13 +19,27 @@ Two storage modes fix the symmetry type:
 Canonical keys: ``(b_1, ..., b_{p-1}, m)`` in fused mode, with block ids
 ``b_i`` indexing the lexicographic wedge basis and ``m`` indexing
 increasing n-tuples; ``(b_1, ..., b_p, z)`` in split mode with ``z`` a
-basis index.  Degree 0 is not stored here (it is a covector or a matrix
-and the complexes handle it directly).
+basis index.  Value component c of key number k is coordinate
+k * dim V + c.
 
-:func:`delta_functional` holds the two coboundary terms that do not act
-on values, bracket insertion and L(x_i).z in the final slot; it is the
-whole trivial-coefficient coboundary and the scalar part of the adjoint
-one.
+The degree-p coboundary is the sum of four terms (1-based signs, a the
+twist, [x_i, x_j] the fundamental-set bracket, L(x).z = [x, z] and
+y = x_{p+1} = y^1 ^ ... ^ y^(n-1))::
+
+    d1 = sum_{i<j} (-1)^i psi(a(x_1), ..., ^x_i, ..., [x_i,x_j], ..., a(x_{p+1}), a(z))
+    d2 = sum_i (-1)^i psi(a(x_1), ..., ^x_i, ..., a(x_{p+1}), L(x_i).z)
+    d3 = sum_i (-1)^(i+1) rho(a^p(x_i)) psi(x_1, ..., ^x_i, ..., x_{p+1}, z)
+    d4 = (-1)^p sum_s (-1)^(n-s) rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) psi(x_1, ..., x_p, y^s)
+
+d1 and d2 act on every value component alike; with rho = 0 they are the
+whole coboundary.  At degree 0, psi: L -> V and
+
+    (d psi)(x_1, ..., x_n) = sum_i (-1)^(n-i) rho(x_1, ..., ^x_i, ..., x_n) psi(x_i) - psi([x])
+
+Compatible cochains satisfy nu o psi = psi o a.  The trivial
+representation (V = Q, rho = 0, nu = 1) gives the scalar complex,
+computed on all cochains; the adjoint representation gives the
+algebra-valued complex, computed on the compatible ones.
 """
 
 from __future__ import annotations
@@ -35,8 +51,8 @@ from fractions import Fraction
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .fundamental import l_action_sparse
-from .indices import sort_with_sign, sv_add, sv_to_dense, wedge_basis
+from .fundamental import fundamental_of, l_action_sparse
+from .indices import sort_with_sign, sv_add, wedge_basis
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -210,63 +226,154 @@ class Cochain:
         return tuple(total.get(i, ZERO) for i in range(self.space.value_dim))
 
 
-def split_vector_respects_fusion(space_split: CochainSpace, flat) -> bool:
-    """True when a split-mode coordinate vector is skew across the last
-    wedge block and the final slot, i.e. lies in the fused subspace."""
+def operator_respects_fusion(space_split: CochainSpace, m: linalg.SparseMatrix) -> bool:
+    """True when every column of ``m``, an operator into ``space_split``
+    with any number of value components per key, lies in the fused
+    subspace: skew across the last wedge block and the final slot."""
     if space_split.mode != "split":
         raise CochainError("expected a split-mode space")
-    n = space_split.alg.arity
-    d = space_split.value_dim
-    flat = list(flat)
-    for idx, key in enumerate(space_split.keys):
-        blocks, z = key[:-1], key[-1]
+    dv = m.rows // len(space_split.keys)
+    for idx, (*blocks, z) in enumerate(space_split.keys):
         merged, sign = sort_with_sign(space_split.wedge[blocks[-1]] + (z,))
-        for comp in range(d):
-            val = flat[idx * d + comp]
-            if sign == 0:
-                if val:
+        if sign:
+            canon = tuple(blocks[:-1]) + (space_split.windex[merged[:-1]], merged[-1])
+            canon = space_split.key_index[canon]
+        for comp in range(dv):
+            for col in range(m.cols):
+                value = m.entries.get((idx * dv + comp, col), 0)
+                expected = sign * m.entries.get((canon * dv + comp, col), 0) if sign else 0
+                if value != expected:
                     return False
-                continue
-            canon_key = blocks[:-1] + (space_split.windex[merged[: n - 1]], merged[n - 1])
-            canon_val = flat[space_split.key_index[canon_key] * d + comp]
-            if val != sign * canon_val:
-                return False
     return True
 
 
-def operator_respects_fusion(space_split: CochainSpace, m: linalg.SparseMatrix) -> bool:
-    """True when every column of ``m``, an operator into ``space_split``,
-    lies in the fused subspace."""
-    columns = [{} for _ in range(m.cols)]
-    for (r, c), v in m.entries.items():
-        columns[c][r] = v
-    return all(
-        split_vector_respects_fusion(space_split, sv_to_dense(col, m.rows)) for col in columns
-    )
-
-
-def delta_functional(alg, fund, space_in, alpha_cols, block_ids, z) -> dict:
-    """Read weights of (d phi) at canonical arguments, as a functional in
-    phi's stored coordinates."""
-    q = len(block_ids)  # p + 1
+def _rho_columns(rep) -> dict:
+    """Sparse columns of every nonzero rho matrix, by increasing tuple."""
     out = {}
-    units = [{b: ONE} for b in block_ids]
-    alpha_blocks = [fund.twist_sparse(u) for u in units]
-    z_unit = {z: ONE}
-    alpha_z = alpha_cols[z]
-    for i in range(q):
-        sign = Fraction(-1 if i % 2 == 0 else 1)  # (-1)^(i+1) 1-based
-        for j in range(i + 1, q):
-            bracket = fund.table[block_ids[i]][block_ids[j]]
-            if not bracket:
-                continue
-            blocks = [alpha_blocks[t] for t in range(q) if t != i]
-            blocks[j - 1] = bracket  # slot j, with slot i removed
-            for in_key, w in space_in.functional(blocks, alpha_z).items():
-                sv_add(out, in_key, sign * w)
-        lz = l_action_sparse(alg, fund.basis, units[i], z_unit)
-        if lz:
-            blocks = [alpha_blocks[t] for t in range(q) if t != i]
-            for in_key, w in space_in.functional(blocks, lz).items():
-                sv_add(out, in_key, sign * w)
+    for key, m in rep.rho.items():
+        cols = [{r: m[r, c] for r in range(rep.dim) if m[r, c]} for c in range(rep.dim)]
+        if any(cols):
+            out[key] = cols
     return out
+
+
+def _rho_weights(rho_cols: dict, args, dim: int):
+    """Sparse columns of rho at n-1 sparse vectors (skew multilinear
+    expansion); None when rho vanishes there."""
+    out = [{} for _ in range(dim)]
+    for combo in itertools.product(*(a.items() for a in args)):
+        canon, sign = sort_with_sign(tuple(i for i, _ in combo))
+        cols = rho_cols.get(canon) if sign else None
+        if cols is None:
+            continue
+        coeff = sign
+        for _, c in combo:
+            coeff *= c
+        for c, col in enumerate(cols):
+            for r, v in col.items():
+                sv_add(out[c], r, coeff * v)
+    return out if any(out) else None
+
+
+def coboundary_matrix(
+    alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
+) -> linalg.SparseMatrix:
+    """Sparse matrix of the degree-p coboundary with values in ``rep``,
+    p >= 1: the four terms of the module docstring."""
+    fund = fundamental_of(alg)
+    space_in = CochainSpace(alg, p, "scalar", mode)
+    space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
+    d, n, dv = alg.dim, alg.arity, rep.dim
+    alpha = [alg.twist_column_sparse(i) for i in range(d)]
+    alpha_p = [alg.twist_column_sparse(i, p) for i in range(d)]
+    rho_cols = _rho_columns(rep)
+    # weights of d3, rho(a^p(x)) per wedge id x, and of d4,
+    # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per (y, s, z); none when rho = 0
+    third, fourth = {}, {}
+    if rho_cols:
+        third = {b: _rho_weights(rho_cols, [alpha_p[t] for t in x], dv)
+                 for b, x in enumerate(fund.basis)}
+        fourth = {(b, s, z): _rho_weights(rho_cols, [alpha_p[t] for t in y[:s] + y[s + 1:]]
+                                          + [alpha_p[z]], dv)
+                  for b, y in enumerate(fund.basis) for s in range(n - 1) for z in range(d)}
+    m = linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, {})
+
+    def scatter(row, blocks, final, sign, weights=None):
+        """Add sign * weights . psi(blocks, final); no weights: identity."""
+        for in_key, w in space_in.functional(blocks, final).items():
+            col = space_in.key_index[in_key] * dv
+            if weights is None:
+                for r in range(dv):
+                    m.add(row + r, col + r, sign * w)
+                continue
+            for c, column in enumerate(weights):
+                for r, v in column.items():
+                    m.add(row + r, col + c, sign * w * v)
+
+    for k, key in enumerate(space_out.keys):
+        block_ids, z = space_out.decode_args(key)
+        row = k * dv
+        units = [{b: ONE} for b in block_ids]
+        alpha_blocks = [fund.twist_sparse(u) for u in units]
+        for i, b in enumerate(block_ids):
+            sign = -1 if i % 2 == 0 else 1  # (-1)^i with 1-based i
+            rest = alpha_blocks[:i] + alpha_blocks[i + 1:]
+            for j in range(i + 1, len(block_ids)):  # d1, the bracket in slot j
+                bracket = fund.table[b][block_ids[j]]
+                if bracket:
+                    scatter(row, rest[:j - 1] + [bracket] + rest[j:], alpha[z], sign)
+            lz = l_action_sparse(alg, fund.basis, units[i], {z: ONE})
+            if lz:  # d2
+                scatter(row, rest, lz, sign)
+            if third.get(b):
+                scatter(row, units[:i] + units[i + 1:], {z: ONE}, -sign, third[b])
+        y = fund.basis[block_ids[-1]]
+        for s in range(n - 1):
+            weights = fourth.get((block_ids[-1], s, z))
+            if weights:  # sign (-1)^p (-1)^(n-s) with 1-based s
+                scatter(row, units[:-1], {y[s]: ONE}, (-1) ** (p + n - 1 - s), weights)
+    return m
+
+
+def zero_coboundary_matrix(alg: HomNambuAlgebra, rep, mode: str = "fused") -> linalg.SparseMatrix:
+    """Matrix of psi in Hom(L, V) (psi[r, c] at r*d + c) -> d psi."""
+    space = CochainSpace(alg, 1, "scalar", mode)
+    d, n, dv = alg.dim, alg.arity, rep.dim
+    rho_cols = _rho_columns(rep)
+    m = linalg.SparseMatrix(space.dim * dv, dv * d, {})
+    for k, key in enumerate(space.keys):
+        blocks, z = space.decode_args(key)
+        args = space.wedge[blocks[0]] + (z,)
+        row = k * dv
+        for i in range(n):
+            rest = [{t: ONE} for t in args[:i] + args[i + 1:]]
+            weights = _rho_weights(rho_cols, rest, dv) if rho_cols else None
+            for c, column in enumerate(weights or ()):
+                for r, v in column.items():  # sign (-1)^(n-i) with 1-based i
+                    m.add(row + r, c * d + args[i], (-1) ** (n - 1 - i) * v)
+        for c, v in alg.bracket_basis_sparse(args).items():
+            for r in range(dv):
+                m.add(row + r, r * d + c, -v)
+    return m
+
+
+def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> linalg.SparseMatrix:
+    """Rows nu . psi(args) - psi(a args) over canonical tuples; the
+    compatible cochains are its kernel."""
+    space = CochainSpace(alg, p, "scalar", mode)
+    fund = fundamental_of(alg)
+    dv = rep.dim
+    alpha = [alg.twist_column_sparse(i) for i in range(alg.dim)]
+    nu = [(r, c, rep.nu[r, c]) for r in range(dv) for c in range(dv) if rep.nu[r, c]]
+    m = linalg.SparseMatrix(space.dim * dv, space.dim * dv, {})
+    for k, key in enumerate(space.keys):
+        block_ids, z = space.decode_args(key)
+        row = k * dv
+        for r, c, v in nu:
+            m.add(row + r, row + c, v)
+        blocks = [fund.twist_sparse({b: ONE}) for b in block_ids]
+        for in_key, w in space.functional(blocks, alpha[z]).items():
+            col = space.key_index[in_key] * dv
+            for r in range(dv):
+                m.add(row + r, col + r, -w)
+    return m

@@ -193,7 +193,13 @@ class RepresentationMap:
         return m if sign == 1 else -m
 
 
+def trivial_representation(alg: HomNambuAlgebra) -> RepresentationMap:
+    """V = Q with rho = 0 and nu = 1: the scalar coefficients."""
+    return RepresentationMap(arity=alg.arity, dim=1, rho={}, nu=linalg.eye(1))
+
+
 def adjoint_representation(alg: HomNambuAlgebra) -> RepresentationMap:
+    """V = L with rho(x) = L(x) = [x_1, ..., x_{n-1}, .] and nu the twist."""
     rho = {
         key: ad_matrix(alg, [alg.basis_vector(i) for i in key])
         for key in wedge_basis(alg.dim, alg.arity - 1)
@@ -258,13 +264,16 @@ class SingularMapError(AlgebraError):
 
 
 def check_rep_equivalence(rep: RepresentationMap, rep2: RepresentationMap, f) -> bool:
-    """True iff f intertwines the two actions: f rho(x) = rho'(x) f on
-    every increasing basis tuple.  f must be invertible."""
+    """True iff f intertwines the two representations: f nu = nu' f, and
+    f rho(x) = rho'(x) f on every increasing basis tuple.  f must be
+    invertible."""
     f = np.asarray(f, dtype=object)
     if rep.dim != rep2.dim or rep.arity != rep2.arity:
         raise AlgebraError("representations are not comparable")
     if linalg.rank(f) != rep.dim:
         raise SingularMapError("singular f")
+    if not linalg.is_zero_matrix(linalg.matmul(f, rep.nu) - linalg.matmul(rep2.nu, f)):
+        return False
     for key in sorted(set(rep.rho) | set(rep2.rho)):
         lhs = linalg.matmul(f, rep.rho_basis(key))
         rhs = linalg.matmul(rep2.rho_basis(key), f)

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra
+from .indices import sort_with_sign
 
 _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 _BRACKET_LINE = re.compile(r"^\[([^\]]*)\]\s*->\s*(.*)$")
@@ -374,7 +375,8 @@ def loads_representation(text: str):
 
     Grammar: ``arity = n``, ``dim = d'`` (module dimension), a ``nu:``
     marker followed by d' matrix rows, then any number of
-    ``rho [i1,...,i_{n-1}]:`` blocks each followed by d' rows.
+    ``rho [i1,...,i_{n-1}]:`` blocks each followed by d' rows.  Distinct
+    1-based indices in any order; stored sorted, times the sort's sign.
     """
     from .derivations import RepresentationMap
 
@@ -408,11 +410,19 @@ def loads_representation(text: str):
         m = re.match(r"^rho\s*\[([^\]]*)\]\s*:$", line)
         if not m:
             raise ParseError(f"expected 'rho [i1,...]:', got {line!r}", lineno)
-        key = tuple(int(tok) - 1 for tok in m.group(1).split(","))
+        try:
+            key = tuple(int(tok) - 1 for tok in m.group(1).split(","))
+        except ValueError:
+            raise ParseError(f"bad rho index list {m.group(1)!r}", lineno) from None
         if len(key) != arity - 1:
             raise ParseError(f"rho tuple needs {arity - 1} indices", lineno)
+        canon, sign = sort_with_sign(key)
+        if sign == 0 or canon[0] < 0:
+            raise ParseError(f"rho indices must be distinct and at least 1, got {line!r}", lineno)
+        if canon in rho:
+            raise ParseError(f"repeated rho block for {m.group(1)!r}", lineno)
         mat_, pos = read_matrix(pos + 1)
-        rho[key] = mat_
+        rho[canon] = sign * mat_
     return RepresentationMap(arity=arity, dim=dim, rho=rho, nu=nu)
 
 

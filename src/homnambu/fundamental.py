@@ -197,11 +197,9 @@ def check_l_compatibility(alg: HomNambuAlgebra):
 
     Returns violations ``(i, j, z, difference)``.
     """
-    n, d = alg.arity, alg.dim
-    wedge = wedge_basis(d, n - 1)
-    windex = {t: i for i, t in enumerate(wedge)}
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    fund = build_fundamental(alg)
+    fund = fundamental_of(alg)
+    wedge = fund.basis
+    alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
     units = [{i: ONE} for i in range(len(wedge))]
     violations = []
     for i in range(len(wedge)):
@@ -209,7 +207,7 @@ def check_l_compatibility(alg: HomNambuAlgebra):
         for j in range(len(wedge)):
             ay = fund.twist_sparse(units[j])
             xy = fund.bracket_sparse(units[i], units[j])
-            for z in range(d):
+            for z in range(alg.dim):
                 az = alpha_cols[z]
                 lhs = l_action_sparse(alg, wedge, xy, az)
                 rhs = l_action_sparse(

@@ -6,10 +6,10 @@ holding Fractions; coboundary operators are :class:`SparseMatrix`
 values.  Everything here is a pure function of its arguments, so
 concurrent use needs no synchronization.
 
-``rank``, ``rref``, ``kernel_basis``, ``image_basis``,
-``row_space_basis``, ``solve``, ``quotient_dim`` and the
-:class:`SubspaceBasis` checks take a SparseMatrix or a dense matrix (any
-nested sequence) and hand its nonzero entries, as integer rows with
+``rank``, ``rref``, ``kernel_basis``, ``image_basis``, ``solve``,
+``quotient_dim`` and the :class:`SubspaceBasis` checks take a
+SparseMatrix or a dense matrix (any nested sequence) and hand its
+nonzero entries, as integer rows with
 denominators cleared row by row, to the one elimination engine,
 :func:`homnambu.backends.echelon_int`.  Ranks and kernels over Q agree
 with those over any extension field, which is why the rest of the
@@ -154,10 +154,6 @@ def _row_basis(rows, cols) -> "SubspaceBasis":
 def image_basis(m) -> "SubspaceBasis":
     """Canonical basis of the column space (reduced echelon form)."""
     return _row_basis(*_rows(m, transpose=True))
-
-
-def row_space_basis(m) -> "SubspaceBasis":
-    return _row_basis(*_rows(m))
 
 
 def solve(m, b):

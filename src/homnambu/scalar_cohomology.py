@@ -1,14 +1,9 @@
 """Trivial-coefficient cohomology and central extensions.
 
-The coboundary of a degree-p cochain has two sums: one inserts the
-induced binary bracket of two fundamental-set arguments, the other feeds
-L(x_i).z into the final slot::
-
-    (d phi)(x_1, ..., x_{p+1}, z)
-        = sum_{i<j} (-1)^i phi(a(x_1), ..., ^x_i, ..., [x_i,x_j], ..., a(x_{p+1}), a(z))
-        + sum_i     (-1)^i phi(a(x_1), ..., ^x_i, ..., a(x_{p+1}), L(x_i).z)
-
-(1-based signs; the bracket replaces slot j).  Degree 0 cochains are
+The scalar complex is the complex of :mod:`homnambu.cochains` with
+values in the trivial representation (V = Q, rho = 0, nu = 1), where
+only the bracket-insertion and L(x_i).z terms survive; it is computed
+on all cochains, with no compatibility condition.  Degree 0 cochains are
 covectors with (d phi) = -phi([...]), which is exactly the potential
 equation used in the Filippov example.
 
@@ -21,10 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import cochains, linalg
 from .algebra import HomNambuAlgebra
-from .cochains import Cochain, CochainSpace, delta_functional, operator_respects_fusion
-from .fundamental import fundamental_of
+from .cochains import Cochain, CochainSpace, operator_respects_fusion
+from .derivations import trivial_representation
 from .indices import levi_civita, wedge_basis
 
 ZERO = Fraction(0)
@@ -50,14 +45,7 @@ class CohomologyReport:
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.SparseMatrix:
     """Matrix of covector -> degree-1 cochain, phi -> -phi o bracket."""
-    space = CochainSpace(alg, 1, "scalar", mode)
-    m = linalg.SparseMatrix(space.dim, alg.dim, {})
-    for row, key in enumerate(space.keys):
-        blocks, z = space.decode_args(key)
-        args = space.wedge[blocks[0]] + (z,)
-        for j, v in alg.bracket_basis_sparse(args).items():
-            m.add(row, j, -v)
-    return m
+    return cochains.zero_coboundary_matrix(alg, trivial_representation(alg), mode)
 
 
 def apply_zero_coboundary(alg: HomNambuAlgebra, covector, mode: str = "fused") -> Cochain:
@@ -70,16 +58,7 @@ def coboundary_matrix(
     alg: HomNambuAlgebra, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
     """Sparse matrix of the degree-p coboundary, p >= 1."""
-    fund = fundamental_of(alg)
-    space_in = CochainSpace(alg, p, "scalar", mode)
-    space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
-    m = linalg.SparseMatrix(space_out.dim, space_in.dim, {})
-    for row, key in enumerate(space_out.keys):
-        block_ids, z = space_out.decode_args(key)
-        for in_key, w in delta_functional(alg, fund, space_in, alpha_cols, block_ids, z).items():
-            m.add(row, space_in.key_index[in_key], w)
-    return m
+    return cochains.coboundary_matrix(alg, trivial_representation(alg), p, mode, out_mode)
 
 
 def apply_coboundary(alg: HomNambuAlgebra, phi: Cochain, out_mode: str | None = None) -> Cochain:

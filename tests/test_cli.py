@@ -129,6 +129,25 @@ def test_cohomology_trivial_h1(tmp_path, capsys, monkeypatch):
     assert len(load_cochains(basis, alg)) == 4
 
 
+def test_cohomology_degree0_writes_covectors(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run(capsys, "--json", "cohomology", FIXDIR / "solvable_d4.alg", "-p", "0")
+    assert code == 0
+    report = json.loads(out)
+    assert report["dimensions"]["dim_Z"] == 3
+    basis = tmp_path / "solvable_d4.z0.scalar.matrix"
+    assert report["cocycle_basis_file"] == str(basis)
+    from homnambu import linalg
+    from homnambu.formats import load_matrix
+    from homnambu.scalar_cohomology import zero_coboundary_matrix
+
+    rows = load_matrix(basis)
+    assert rows.shape == (3, 4)
+    delta = zero_coboundary_matrix(load_algebra(FIXDIR / "solvable_d4.alg"))
+    for row in rows:
+        assert not any(linalg.sparse_mat_vec(delta, tuple(row)))
+
+
 def test_cohomology_zero_bracket(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "cohomology", FIXDIR / "zero_d2_n2.alg", "--degree", "1")

@@ -260,6 +260,12 @@ def test_rep_equivalence_zero_reps():
     assert check_rep_equivalence(rep, rep2, f)
 
 
+def test_rep_equivalence_needs_nu_intertwined():
+    rep = RepresentationMap(arity=3, dim=4, rho={}, nu=linalg.eye(4))
+    rep2 = RepresentationMap(arity=3, dim=4, rho={}, nu=2 * linalg.eye(4))
+    assert not check_rep_equivalence(rep, rep2, linalg.eye(4))
+
+
 def test_rep_equivalence_scalar_conjugation():
     alg = fixtures.filippov_n3()
     rep = adjoint_representation(alg)

@@ -132,3 +132,38 @@ def test_loads_representation():
     assert rep.arity == 2 and rep.dim == 2
     assert rep.rho_basis((0,))[0, 1] == 1
     assert rep.rho_basis((1,))[1, 0] == 1
+
+
+REP_HEAD = "arity = 3\ndim = 2\nnu:\n1 0\n0 1\n"
+
+
+def test_representation_key_sorted_with_sign():
+    rep = loads_representation(REP_HEAD + "rho [2,1]:\n0 1\n0 0\n")
+    assert list(rep.rho) == [(0, 1)]
+    assert rep.rho_basis((0, 1))[0, 1] == -1
+    assert rep.rho_basis((1, 0))[0, 1] == 1
+
+
+def test_representation_index_below_one():
+    with pytest.raises(ParseError):
+        loads_representation(REP_HEAD + "rho [0,1]:\n0 1\n0 0\n")
+
+
+def test_representation_repeated_index():
+    with pytest.raises(ParseError):
+        loads_representation(REP_HEAD + "rho [1,1]:\n0 1\n0 0\n")
+
+
+def test_representation_non_integer_index():
+    with pytest.raises(ParseError):
+        loads_representation(REP_HEAD + "rho [a,1]:\n0 1\n0 0\n")
+
+
+def test_representation_empty_index_list():
+    with pytest.raises(ParseError):
+        loads_representation(REP_HEAD + "rho []:\n0 1\n0 0\n")
+
+
+def test_representation_repeated_block():
+    with pytest.raises(ParseError):
+        loads_representation(REP_HEAD + "rho [1,2]:\n0 1\n0 0\nrho [2,1]:\n0 1\n0 0\n")

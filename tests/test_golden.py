@@ -4,8 +4,9 @@ Each ``*.trivial.*``/``*.adjoint.*`` file under ``tests/golden/``
 records one ``cohomology --json`` job on a committed fixture: its
 arguments, the report without ``elapsed_seconds`` (the cocycle-basis
 file named by its file name, since the directory differs per run) and
-the SHA-256 of the basis file the job wrote (``null`` when dim Z = 0 and
-nothing is written).  The jobs are the committed-fixture jobs of the
+the SHA-256 of the basis file the job wrote (a cochain file, or at
+degree 0 a matrix file with one covector per row; ``null`` exactly when
+dim Z = 0, since then no file is written).  The jobs are the committed-fixture jobs of the
 ``scalar-complex`` and ``adjoint-complex`` benchmark workloads, plus
 scalar degrees 0 and 1 (the degree-0 operator as the previous map), a
 split-mode adjoint job and an adjoint job with an identity twist.  RREF
