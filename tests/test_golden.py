@@ -13,6 +13,13 @@ split-mode adjoint job and an adjoint job with an identity twist.  RREF
 is unique, so any correct elimination engine must reproduce these files
 exactly.
 
+Every other file records a short run of other subcommands, each step
+one ``--json`` CLI call in a fresh working directory (some steps first
+write a cocycle basis that a later step reads): per step its arguments,
+exit code and report without ``elapsed_seconds``, then the SHA-256 of
+every file the run wrote.  These subcommands print or write matrices
+(twists, derivations, the induced binary algebra, extensions).
+
 Each ``*.bridge.json`` file records one ``bridge-check --json`` job at a
 fixed seed: the report without ``elapsed_seconds`` and the SHA-256 of
 canonical dumps of the four cochains behind the commuting square (delta
@@ -60,6 +67,7 @@ JOBS = [
     ("solvable_d4", 1),
     ("filippov_n3", 1, *ADJ, "--mode", "split"),
     ("solvable_d4", 2, *ADJ),
+    ("solvable_d4", 0),
 ]
 
 # (fixture, degree, seed, extra flags); seeds whose cochain has full support
@@ -69,6 +77,65 @@ BRIDGE_JOBS = [
     ("solvable_d4", 1, 377744, "--ternary"),
     ("volume_d3_twisted", 2, 290122, "--ternary"),
     ("sl2", 2, 259336),
+]
+
+
+ROTATION = "0 -1 0 0\n1 0 0 0\n0 0 0 -1\n0 0 1 0\n"
+COVECTOR = "0 1 0 -1\n"
+
+
+def _fx(stem: str) -> str:
+    return f"fixtures/{stem}.alg"
+
+
+def _basis(stem: str, *extra) -> list:
+    return ["cohomology", _fx(stem), "-p", "1", *extra, "--basis-out", "z1.cochains"]
+
+
+# (golden name, input files written first, steps)
+CLI_JOBS = [
+    ("filippov_n3.validate", {}, [["validate", _fx("filippov_n3")]]),
+    ("perturbed_n3.validate", {}, [["validate", _fx("perturbed_n3")]]),
+    *(
+        (f"{stem}.derivations.k{k}", {}, [["derivations", _fx(stem), "-k", str(k)]])
+        for stem in ("filippov_n3_twisted", "solvable_d4")
+        for k in (-1, 0, 1)
+    ),
+    (
+        "filippov_n3_twisted.fundamental",
+        {},
+        [["fundamental", _fx("filippov_n3_twisted"), "-o", "fundamental.leib"]],
+    ),
+    (
+        "filippov_n3.twist",
+        {"rotation.matrix": ROTATION},
+        [["twist", _fx("filippov_n3"), "--map", "rotation.matrix", "-o", "twisted.alg"]],
+    ),
+    (
+        "filippov_n3_twisted.extend",
+        {"lam.matrix": COVECTOR},
+        [
+            _basis("filippov_n3_twisted"),
+            *(
+                ["extend", _fx("filippov_n3_twisted"), "--cochain", "z1.cochains",
+                 "--index", str(i), "-o", f"ext{i}.alg"]
+                for i in (1, 2)
+            ),
+            ["extend", _fx("filippov_n3_twisted"), "--cochain", "z1.cochains",
+             "--lam", "lam.matrix", "-o", "ext_lam.alg"],
+        ],
+    ),
+    (
+        "solvable_d4.deform-check",
+        {},
+        [
+            _basis("solvable_d4", "--coefficients", "adjoint"),
+            *(
+                ["deform-check", _fx("solvable_d4"), "--cochain", "z1.cochains", "--index", str(i)]
+                for i in (1, 2, 3)
+            ),
+        ],
+    ),
 ]
 
 
@@ -84,15 +151,24 @@ def bridge_job_name(job) -> str:
     return f"{stem}.p{p}.bridge"
 
 
+def run_cli(argv) -> tuple:
+    """Exit code and untimed ``--json`` report of one CLI call; a
+    ``fixtures/`` argument names a committed fixture."""
+    argv = [str(ROOT / a) if a.startswith("fixtures/") else a for a in argv]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(["--json", *argv])
+    report = json.loads(out.getvalue()) if out.getvalue() else None
+    if report is not None:
+        del report["elapsed_seconds"]
+    return code, report
+
+
 def run_report(argv) -> dict:
     """``--json`` report of one job on a committed fixture, untimed."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        code = cli.main(["--json", argv[0], str(ROOT / argv[1]), *argv[2:]])
+    code, report = run_cli(argv)
     if code != 0:
         raise RuntimeError(f"homnambu {' '.join(argv)} exited {code}")
-    report = json.loads(out.getvalue())
-    del report["elapsed_seconds"]
     return report
 
 
@@ -144,6 +220,24 @@ def record_bridge(job) -> str:
     return json.dumps(golden, indent=2) + "\n"
 
 
+def record_cli(job) -> str:
+    """Run one multi-step job in the current (empty) directory."""
+    _, inputs, steps = job
+    for name, text in inputs.items():
+        Path(name).write_text(text, encoding="utf-8")
+    runs = []
+    for argv in steps:
+        code, report = run_cli(argv)
+        runs.append({"argv": argv, "exit_code": code, "report": report})
+    written = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(Path.cwd().iterdir())
+        if path.name not in inputs
+    }
+    golden = {"steps": runs, "written_sha256": written}
+    return json.dumps(golden, indent=2) + "\n"
+
+
 @pytest.mark.parametrize("job", JOBS, ids=job_name)
 def test_report_matches_golden(job, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
@@ -155,6 +249,13 @@ def test_report_matches_golden(job, tmp_path, monkeypatch):
 def test_bridge_report_matches_golden(job):
     expected = (GOLDEN / f"{bridge_job_name(job)}.json").read_bytes()
     assert record_bridge(job).encode() == expected
+
+
+@pytest.mark.parametrize("job", CLI_JOBS, ids=lambda job: job[0])
+def test_cli_run_matches_golden(job, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    expected = (GOLDEN / f"{job[0]}.json").read_bytes()
+    assert record_cli(job).encode() == expected
 
 
 def write_all() -> None:
@@ -169,6 +270,15 @@ def write_all() -> None:
                 os.chdir(home)
         (GOLDEN / f"{job_name(job)}.json").write_text(text, encoding="utf-8")
         print(f"wrote {job_name(job)}.json", file=sys.stderr)
+    for job in CLI_JOBS:
+        with tempfile.TemporaryDirectory() as work:
+            os.chdir(work)
+            try:
+                text = record_cli(job)
+            finally:
+                os.chdir(home)
+        (GOLDEN / f"{job[0]}.json").write_text(text, encoding="utf-8")
+        print(f"wrote {job[0]}.json", file=sys.stderr)
     for job in BRIDGE_JOBS:
         (GOLDEN / f"{bridge_job_name(job)}.json").write_text(record_bridge(job), encoding="utf-8")
         print(f"wrote {bridge_job_name(job)}.json", file=sys.stderr)
