@@ -19,8 +19,6 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .indices import sort_with_sign, sv_add, wedge_basis
 
@@ -50,12 +48,10 @@ class HomNambuAlgebra:
             raise AlgebraError("need dim >= 1 and arity >= 2")
         self.dim = int(dim)
         self.arity = int(arity)
-        if twist is None:
-            twist = linalg.eye(dim)
-        twist = np.asarray(twist, dtype=object)
+        twist = linalg.eye(dim) if twist is None else linalg.mat(twist)
         if twist.shape != (dim, dim):
             raise AlgebraError(f"twist must be {dim}x{dim}")
-        self.twist = linalg.mat(twist)
+        self.twist = twist
         self.coeffs = {}
         for key, value in (coeffs or {}).items():
             self._insert(key, value)
@@ -120,7 +116,7 @@ class HomNambuAlgebra:
             return {}
         return {i: sign * v for i, v in enumerate(value) if v}
 
-    def twist_power(self, k: int) -> np.ndarray:
+    def twist_power(self, k: int) -> linalg.SparseMatrix:
         """alpha^k with the conventions alpha^0 = id and alpha^(-1) = 0."""
         if k < -1:
             raise AlgebraError("twist power below -1")
@@ -131,11 +127,10 @@ class HomNambuAlgebra:
         return self._twist_powers[k]
 
     def twist_column_sparse(self, i: int, k: int = 1) -> dict:
-        m = self.twist_power(k)
-        return {r: m[r, i] for r in range(self.dim) if m[r, i]}
+        return self.twist_power(k).column(i)
 
     def twist_apply(self, v, k: int = 1) -> tuple:
-        return linalg.mat_vec(self.twist_power(k), v)
+        return linalg.sparse_mat_vec(self.twist_power(k), v)
 
 
 def zero_algebra(dim: int, arity: int, twist=None) -> HomNambuAlgebra:
@@ -170,17 +165,17 @@ def bracket_eval(alg: HomNambuAlgebra, args) -> tuple:
     return tuple(out.get(i, ZERO) for i in range(alg.dim))
 
 
-def ad_matrix(alg: HomNambuAlgebra, xs) -> np.ndarray:
+def ad_matrix(alg: HomNambuAlgebra, xs) -> linalg.SparseMatrix:
     """Matrix of y -> [x_1, ..., x_{n-1}, y] for fixed vectors xs."""
     if len(xs) != alg.arity - 1:
         raise AlgebraError("ad needs n-1 vectors")
     sparse_xs = [{i: v for i, v in enumerate(linalg.vec(x)) if v} for x in xs]
-    m = linalg.zeros(alg.dim, alg.dim)
-    for j in range(alg.dim):
-        col = bracket_eval_sparse(alg, sparse_xs + [{j: ONE}])
-        for i, v in col.items():
-            m[i, j] = v
-    return m
+    entries = {
+        (i, j): v
+        for j in range(alg.dim)
+        for i, v in bracket_eval_sparse(alg, sparse_xs + [{j: ONE}]).items()
+    }
+    return linalg.SparseMatrix(alg.dim, alg.dim, entries)
 
 
 # -- validators -------------------------------------------------------------
@@ -285,8 +280,7 @@ def is_valid(alg: HomNambuAlgebra) -> bool:
 def endomorphism_failure(alg: HomNambuAlgebra, rho):
     """First increasing basis tuple where rho fails to be a bracket
     endomorphism, or None."""
-    rho = np.asarray(rho, dtype=object)
-    cols = [{r: rho[r, i] for r in range(alg.dim) if rho[r, i]} for i in range(alg.dim)]
+    cols = [rho.column(i) for i in range(alg.dim)]
     return next((key for key, _ in _endomorphism_defects(alg, cols)), None)
 
 
@@ -301,12 +295,12 @@ def yau_twist(nambu: HomNambuAlgebra, rho) -> HomNambuAlgebra:
         raise AlgebraError("yau_twist input must have identity twist")
     if check_hom_nambu_identity(nambu):
         raise AlgebraError("yau_twist input fails the fundamental identity")
-    rho = linalg.mat(np.asarray(rho, dtype=object))
+    rho = linalg.mat(rho)
     failing = endomorphism_failure(nambu, rho)
     if failing is not None:
         raise NotAnEndomorphismError(tuple(i + 1 for i in failing))
     coeffs = {
-        key: linalg.mat_vec(rho, value)
+        key: linalg.sparse_mat_vec(rho, value)
         for key, value in nambu.coeffs.items()
     }
     twisted = HomNambuAlgebra(nambu.dim, nambu.arity, coeffs, rho)
@@ -350,9 +344,7 @@ def signed_permutation_automorphisms(alg: HomNambuAlgebra):
     found = []
     for perm in itertools.permutations(range(d)):
         for signs in itertools.product((1, -1), repeat=d):
-            rho = linalg.zeros(d, d)
-            for i in range(d):
-                rho[perm[i], i] = Fraction(signs[i])
+            rho = linalg.SparseMatrix(d, d, {(perm[i], i): Fraction(signs[i]) for i in range(d)})
             if endomorphism_failure(alg, rho) is None:
                 found.append(rho)
     return found

@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 
 def backend_name() -> str:
     return "sparse-int"
@@ -89,9 +87,7 @@ def echelon_int(int_rows, rows, cols):
 
 
 def matmul_int(a_rows, b_rows, n, k, m):
-    """Exact product of integer matrices given as nested lists."""
-    if n == 0 or k == 0 or m == 0:
-        return [[0] * m for _ in range(n)]
-    a = np.array(a_rows, dtype=object)
-    b = np.array(b_rows, dtype=object)
-    return np.dot(a, b).tolist()
+    """Exact product of an ``n x k`` and a ``k x m`` integer matrix given
+    as nested lists; the product is a list of ``n`` lists of ``m`` ints."""
+    b_cols = list(zip(*b_rows)) if k else [()] * m
+    return [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a_rows]

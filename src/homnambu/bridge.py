@@ -313,8 +313,7 @@ class BridgeCochain:
         ints; degree 0 gives matrix column z at key ``(z,)``."""
         if self.degree:
             return _exact_values(self.coeffs)
-        d = self.alg.dim
-        return _exact_values({(c,): {r: self.coeffs[r, c] for r in range(d)} for c in range(d)})
+        return _exact_values({(c,): self.coeffs.column(c) for c in range(self.alg.dim)})
 
 
 def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
@@ -476,10 +475,7 @@ def bridge_equivariance_violations(phi: BridgeCochain):
 def random_bridge_cochain(alg: HomNambuAlgebra, leib: HomLeibnizAlgebra, p: int, rng, span=2):
     """Random integer-coefficient cochain (no symmetry constraints)."""
     if p == 0:
-        m = linalg.zeros(alg.dim, alg.dim)
-        for r in range(alg.dim):
-            for c in range(alg.dim):
-                m[r, c] = Fraction(rng.randint(-span, span))
+        m = linalg.mat([[rng.randint(-span, span) for _ in range(alg.dim)] for _ in range(alg.dim)])
         return BridgeCochain(alg, leib, 0, m)
     out = {}
     for args in itertools.product(range(leib.dim), repeat=p):

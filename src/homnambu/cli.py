@@ -57,10 +57,6 @@ def _fmt_sparse(diff, dim) -> str:
     return _fmt_vector(dense)
 
 
-def _matrix_rows(m):
-    return [" ".join(_fmt(m[r, c]) for c in range(m.shape[1])) for r in range(m.shape[0])]
-
-
 def _load(path) -> algebra.HomNambuAlgebra:
     return formats.load_algebra(path)
 
@@ -164,7 +160,7 @@ def cmd_derivations(args) -> tuple:
     space = derivations.derivation_space(alg, args.level)
     basis = []
     for flat in space.vectors:
-        basis.append(_matrix_rows(derivations.unflatten_matrix(flat, alg.dim)))
+        basis.append(formats.matrix_lines(derivations.unflatten_matrix(flat, alg.dim)))
     report = {
         "command": "derivations",
         "algebra": _algebra_summary(alg),
@@ -259,7 +255,7 @@ def cmd_extend(args) -> tuple:
         m = formats.load_matrix(args.lam)
         if m.shape not in ((1, alg.dim), (alg.dim, 1)):
             raise Refused(f"lambda must be a covector of length {alg.dim}")
-        lam = tuple(m.flat)
+        lam = (m if m.rows == 1 else m.T).to_dense()[0]
     ext = scalar_cohomology.central_extension(alg, phi, lam)
     beta_multiplicative = not algebra.check_multiplicativity(ext)
     identity_ok = not algebra.check_hom_nambu_identity(ext)
@@ -311,8 +307,7 @@ def bridge_input_cochain(alg, leib, degree: int, seed: int) -> bridge.BridgeCoch
             c = Fraction(rng.randint(-3, 3))
             if c:
                 for i, x in enumerate(v):
-                    if x:
-                        m[i // alg.dim, i % alg.dim] += c * x
+                    m.add(i // alg.dim, i % alg.dim, c * x)
         return bridge.BridgeCochain(alg, leib, 0, m)
     psi = adjoint_cohomology.random_equivariant_cochain(alg, degree, rng)
     return bridge.pullback_wedge_cochain(alg, leib, psi)

@@ -251,7 +251,7 @@ def _rho_columns(rep) -> dict:
     """Sparse columns of every nonzero rho matrix, by increasing tuple."""
     out = {}
     for key, m in rep.rho.items():
-        cols = [{r: m[r, c] for r in range(rep.dim) if m[r, c]} for c in range(rep.dim)]
+        cols = [m.column(c) for c in range(rep.dim)]
         if any(cols):
             out[key] = cols
     return out
@@ -364,12 +364,12 @@ def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> lina
     fund = fundamental_of(alg)
     dv = rep.dim
     alpha = [alg.twist_column_sparse(i) for i in range(alg.dim)]
-    nu = [(r, c, rep.nu[r, c]) for r in range(dv) for c in range(dv) if rep.nu[r, c]]
+    nu = sorted(rep.nu.entries.items())
     m = linalg.SparseMatrix(space.dim * dv, space.dim * dv, {})
     for k, key in enumerate(space.keys):
         block_ids, z = space.decode_args(key)
         row = k * dv
-        for r, c, v in nu:
+        for (r, c), v in nu:
             m.add(row + r, row + c, v)
         blocks = [fund.twist_sparse({b: ONE}) for b in block_ids]
         for in_key, w in space.functional(blocks, alpha[z]).items():

@@ -16,11 +16,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra, ad_matrix, bracket_eval_sparse
-from .indices import wedge_basis
+from .indices import sort_with_sign, sv_to_dense, wedge_basis
 
 ONE = Fraction(1)
 
@@ -40,16 +38,12 @@ class LevelUnderflowError(AlgebraError):
 
 @dataclass(eq=False)
 class Derivation:
-    matrix: np.ndarray
+    matrix: linalg.SparseMatrix
     level: int
 
 
-def unflatten_matrix(flat, d) -> np.ndarray:
-    m = linalg.zeros(d, d)
-    for r in range(d):
-        for c in range(d):
-            m[r, c] = Fraction(flat[r * d + c])
-    return m
+def unflatten_matrix(flat, d) -> linalg.SparseMatrix:
+    return linalg.mat([flat[r * d:(r + 1) * d] for r in range(d)])
 
 
 def commutation_matrix(alg: HomNambuAlgebra) -> linalg.SparseMatrix:
@@ -72,12 +66,12 @@ def _slot_matrices(alg: HomNambuAlgebra, key, k):
     out = []
     for i in range(n):
         cols = [alg.twist_column_sparse(key[j], k) for j in range(n)]
-        m = linalg.zeros(d, d)
-        for c in range(d):
-            args = cols[:i] + [{c: ONE}] + cols[i + 1:]
-            for r, v in bracket_eval_sparse(alg, args).items():
-                m[r, c] = v
-        out.append(m)
+        entries = {
+            (r, c): v
+            for c in range(d)
+            for r, v in bracket_eval_sparse(alg, cols[:i] + [{c: ONE}] + cols[i + 1:]).items()
+        }
+        out.append(linalg.SparseMatrix(d, d, entries))
     return out
 
 
@@ -90,16 +84,15 @@ def derivation_violations(alg: HomNambuAlgebra, matrix, k: int):
     if k < -1:
         raise LevelUnderflowError(k)
     d = alg.dim
-    matrix = np.asarray(matrix, dtype=object)
     violations = []
     comm = linalg.matmul(matrix, alg.twist) - linalg.matmul(alg.twist, matrix)
     if not linalg.is_zero_matrix(comm):
         violations.append(("twist_commutation", comm))
     for key in wedge_basis(d, alg.arity):
-        lhs = linalg.mat_vec(matrix, alg.bracket_basis(key))
+        lhs = linalg.sparse_mat_vec(matrix, alg.bracket_basis(key))
         rhs = [Fraction(0)] * d
         for i, slot in enumerate(_slot_matrices(alg, key, k)):
-            img = linalg.mat_vec(slot, tuple(matrix[:, key[i]]))
+            img = linalg.sparse_mat_vec(slot, sv_to_dense(matrix.column(key[i]), d))
             rhs = [a + b for a, b in zip(rhs, img)]
         diff = tuple(a - b for a, b in zip(lhs, rhs))
         if any(diff):
@@ -181,11 +174,9 @@ class RepresentationMap:
     arity: int
     dim: int
     rho: dict
-    nu: np.ndarray
+    nu: linalg.SparseMatrix
 
-    def rho_basis(self, key) -> np.ndarray:
-        from .indices import sort_with_sign
-
+    def rho_basis(self, key) -> linalg.SparseMatrix:
         canon, sign = sort_with_sign(key)
         m = self.rho.get(canon)
         if sign == 0 or m is None:
@@ -207,7 +198,7 @@ def adjoint_representation(alg: HomNambuAlgebra) -> RepresentationMap:
     return RepresentationMap(arity=alg.arity, dim=alg.dim, rho=rho, nu=alg.twist)
 
 
-def _rho_eval(rep: RepresentationMap, sparse_args) -> np.ndarray:
+def _rho_eval(rep: RepresentationMap, sparse_args) -> linalg.SparseMatrix:
     """Multilinear skew expansion of rho on sparse vectors."""
     out = linalg.zeros(rep.dim, rep.dim)
     for combo in itertools.product(*(a.items() for a in sparse_args)):
@@ -267,7 +258,6 @@ def check_rep_equivalence(rep: RepresentationMap, rep2: RepresentationMap, f) ->
     """True iff f intertwines the two representations: f nu = nu' f, and
     f rho(x) = rho'(x) f on every increasing basis tuple.  f must be
     invertible."""
-    f = np.asarray(f, dtype=object)
     if rep.dim != rep2.dim or rep.arity != rep2.arity:
         raise AlgebraError("representations are not comparable")
     if linalg.rank(f) != rep.dim:

@@ -24,8 +24,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra
 from .indices import sort_with_sign
@@ -76,14 +74,12 @@ def loads_algebra(text: str) -> HomNambuAlgebra:
         raise ParseError("need dim >= 1 and arity >= 2", lines[1][0])
     if len(lines) < 2 + dim:
         raise ParseError(f"expected {dim} twist rows")
-    twist = linalg.zeros(dim, dim)
-    for r in range(dim):
-        lineno, line = lines[2 + r]
+    twist = []
+    for lineno, line in lines[2:2 + dim]:
         tokens = line.split()
         if len(tokens) != dim:
             raise ParseError(f"twist row has {len(tokens)} entries, expected {dim}", lineno)
-        for c, tok in enumerate(tokens):
-            twist[r, c] = parse_rational(tok, lineno)
+        twist.append([parse_rational(tok, lineno) for tok in tokens])
     alg = HomNambuAlgebra(dim, arity, {}, twist)
     for lineno, line in lines[2 + dim:]:
         m = _BRACKET_LINE.match(line)
@@ -102,9 +98,7 @@ def loads_algebra(text: str) -> HomNambuAlgebra:
 
 
 def dumps_algebra(alg: HomNambuAlgebra) -> str:
-    out = [f"dim = {alg.dim}", f"arity = {alg.arity}"]
-    for r in range(alg.dim):
-        out.append(" ".join(format_rational(alg.twist[r, c]) for c in range(alg.dim)))
+    out = [f"dim = {alg.dim}", f"arity = {alg.arity}", *matrix_lines(alg.twist)]
     for key in sorted(alg.coeffs):
         idx = ",".join(str(i + 1) for i in key)
         vals = ",".join(format_rational(v) for v in alg.coeffs[key])
@@ -125,7 +119,12 @@ def save_algebra(alg: HomNambuAlgebra, path) -> None:
 # -- plain matrices ---------------------------------------------------------
 
 
-def loads_matrix(text: str) -> np.ndarray:
+def matrix_lines(m: linalg.SparseMatrix) -> list:
+    """One line of space-separated rationals per matrix row."""
+    return [" ".join(format_rational(v) for v in row) for row in m.to_dense()]
+
+
+def loads_matrix(text: str) -> linalg.SparseMatrix:
     rows = []
     width = None
     for lineno, line in _content_lines(text):
@@ -140,14 +139,11 @@ def loads_matrix(text: str) -> np.ndarray:
     return linalg.mat(rows)
 
 
-def dumps_matrix(m) -> str:
-    m = np.asarray(m, dtype=object)
-    return "\n".join(
-        " ".join(format_rational(m[r, c]) for c in range(m.shape[1])) for r in range(m.shape[0])
-    ) + "\n"
+def dumps_matrix(m: linalg.SparseMatrix) -> str:
+    return "\n".join(matrix_lines(m)) + "\n"
 
 
-def load_matrix(path) -> np.ndarray:
+def load_matrix(path) -> linalg.SparseMatrix:
     with open(path, "r", encoding="utf-8") as fh:
         return loads_matrix(fh.read())
 
@@ -297,10 +293,7 @@ def dumps_leibniz(leib) -> str:
     Unlike the n-ary format, pairs are not symmetrized; the bracket of a
     Hom-Leibniz algebra need not be skew.
     """
-    out = ["kind = leibniz", f"dim = {leib.dim}"]
-    twist = leib.twist_matrix()
-    for r in range(leib.dim):
-        out.append(" ".join(format_rational(twist[r, c]) for c in range(leib.dim)))
+    out = ["kind = leibniz", f"dim = {leib.dim}", *matrix_lines(leib.twist_matrix())]
     for i in range(leib.dim):
         for j in range(leib.dim):
             cell = leib.table[i][j]
@@ -390,15 +383,13 @@ def loads_representation(text: str):
     def read_matrix(pos):
         if pos + dim > len(lines):
             raise ParseError(f"expected {dim} matrix rows")
-        m = linalg.zeros(dim, dim)
-        for r in range(dim):
-            lineno, line = lines[pos + r]
+        rows = []
+        for lineno, line in lines[pos:pos + dim]:
             tokens = line.split()
             if len(tokens) != dim:
                 raise ParseError(f"matrix row has {len(tokens)} entries, expected {dim}", lineno)
-            for c, tok in enumerate(tokens):
-                m[r, c] = parse_rational(tok, lineno)
-        return m, pos + dim
+            rows.append([parse_rational(tok, lineno) for tok in tokens])
+        return linalg.mat(rows), pos + dim
 
     lineno, line = lines[pos]
     if line != "nu:":

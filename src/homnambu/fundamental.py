@@ -18,8 +18,6 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import linalg
 from .algebra import HomNambuAlgebra, bracket_eval_sparse
 from .indices import sort_with_sign, sv_add, wedge_basis
@@ -85,12 +83,9 @@ class HomLeibnizAlgebra:
                 sv_add(out, k, a * v)
         return out
 
-    def twist_matrix(self) -> np.ndarray:
-        m = linalg.zeros(self.dim, self.dim)
-        for i, col in enumerate(self.twist_cols):
-            for r, v in col.items():
-                m[r, i] = v
-        return m
+    def twist_matrix(self) -> linalg.SparseMatrix:
+        entries = {(r, i): v for i, col in enumerate(self.twist_cols) for r, v in col.items()}
+        return linalg.SparseMatrix(self.dim, self.dim, entries)
 
 
 def l_action_sparse(alg: HomNambuAlgebra, wedge, x: dict, z: dict) -> dict:

@@ -1,15 +1,15 @@
 """Exact linear algebra over the rationals.
 
 Scalars are :class:`fractions.Fraction` (always lowest terms, positive
-denominator).  Dense matrices are 2-D numpy arrays with ``dtype=object``
-holding Fractions; coboundary operators are :class:`SparseMatrix`
-values.  Everything here is a pure function of its arguments, so
-concurrent use needs no synchronization.
+denominator).  Every matrix is a :class:`SparseMatrix`: a shape and a
+dict of its nonzero entries, so matrices compare equal exactly when
+they are equal.  Everything here is a pure function of its arguments,
+so concurrent use needs no synchronization.
 
 ``rank``, ``rref``, ``kernel_basis``, ``image_basis``, ``solve``,
 ``quotient_dim`` and the :class:`SubspaceBasis` checks take a
-SparseMatrix or a dense matrix (any nested sequence) and hand its
-nonzero entries, as integer rows with
+SparseMatrix or a nested sequence of rows and hand its nonzero
+entries, as integer rows with
 denominators cleared row by row, to the one elimination engine,
 :func:`homnambu.backends.echelon_int`.  Ranks and kernels over Q agree
 with those over any extension field, which is why the rest of the
@@ -26,8 +26,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-import numpy as np
-
 from . import backends
 
 ZERO = Fraction(0)
@@ -42,39 +40,33 @@ class NotASubspaceError(LinAlgError):
     """Raised when a claimed subspace containment fails."""
 
 
-def mat(rows) -> np.ndarray:
-    """Build an exact matrix from nested sequences of rational-likes."""
+def mat(rows) -> "SparseMatrix":
+    """An exact copy of a SparseMatrix, or a matrix built from nested
+    sequences of rational-likes."""
+    if isinstance(rows, SparseMatrix):
+        return SparseMatrix(rows.rows, rows.cols, {k: Fraction(v) for k, v in rows.entries.items()})
     rows = [list(r) for r in rows]
-    if rows:
-        width = len(rows[0])
-        if any(len(r) != width for r in rows):
-            raise LinAlgError("ragged rows")
-    m = np.empty((len(rows), len(rows[0]) if rows else 0), dtype=object)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            m[i, j] = Fraction(v)
-    return m
+    width = len(rows[0]) if rows else 0
+    if any(len(r) != width for r in rows):
+        raise LinAlgError("ragged rows")
+    entries = {(i, j): Fraction(v) for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    return SparseMatrix(len(rows), width, entries)
 
 
-def zeros(rows: int, cols: int) -> np.ndarray:
-    m = np.empty((rows, cols), dtype=object)
-    m[:] = ZERO
-    return m
+def zeros(rows: int, cols: int) -> "SparseMatrix":
+    return SparseMatrix(rows, cols, {})
 
 
-def eye(n: int) -> np.ndarray:
-    m = zeros(n, n)
-    for i in range(n):
-        m[i, i] = ONE
-    return m
+def eye(n: int) -> "SparseMatrix":
+    return SparseMatrix(n, n, {(i, i): ONE for i in range(n)})
 
 
 def vec(entries) -> tuple:
     return tuple(Fraction(v) for v in entries)
 
 
-def is_zero_matrix(m) -> bool:
-    return all(not v for v in np.asarray(m, dtype=object).flat)
+def is_zero_matrix(m: "SparseMatrix") -> bool:
+    return not m.entries
 
 
 def _rows(m, transpose=False):
@@ -88,12 +80,7 @@ def _rows(m, transpose=False):
                 r, c = c, r
             rows[r][c] = v
         return rows, k
-    m = np.asarray(m, dtype=object)
-    if m.ndim != 2:
-        raise LinAlgError("expected a matrix")
-    if transpose:
-        m = m.T
-    return [{c: v for c, v in enumerate(row) if v} for row in m.tolist()], m.shape[1]
+    return _rows(mat(m), transpose)
 
 
 def _echelon(rows, cols):
@@ -120,14 +107,11 @@ def rank(m) -> int:
 def rref(m):
     """Reduced row echelon form over Q.
 
-    Returns ``(R, pivots)`` where R has ``rank`` rows (zero rows dropped).
+    Returns ``(R, pivots)`` where R is a tuple of ``rank`` row tuples
+    (zero rows dropped).
     """
-    rows, cols = _rows(m)
-    ech, pivots, rk = _echelon(rows, cols)
-    r = np.empty((rk, cols), dtype=object)
-    for i, (row, p) in enumerate(zip(ech, pivots)):
-        r[i] = _scaled(row, row[p])
-    return r, tuple(pivots)
+    ech, pivots, _ = _echelon(*_rows(m))
+    return tuple(_scaled(row, row[p]) for row, p in zip(ech, pivots)), tuple(pivots)
 
 
 def kernel_basis(m) -> "SubspaceBasis":
@@ -178,39 +162,28 @@ def solve(m, b):
     return tuple(x)
 
 
-def matmul(a, b) -> np.ndarray:
-    """Exact product of two rational matrices.
+def matmul(a: "SparseMatrix", b: "SparseMatrix") -> "SparseMatrix":
+    """Exact product of two rational matrices, taken densely.
 
     Denominators are cleared (one common denominator per factor), the
-    integer product is taken and the result is rescaled back.
+    dense integer product is taken and the result is rescaled back; this
+    route shares no code with :func:`sparse_matmul`.
     """
-    a = np.asarray(a, dtype=object)
-    b = np.asarray(b, dtype=object)
-    n, k = a.shape
-    k2, m = b.shape
-    if k != k2:
+    if a.cols != b.rows:
         raise LinAlgError("shape mismatch in matmul")
 
-    def int_rows(x, den):
-        return [[v.numerator * (den // v.denominator) for v in row] for row in x.tolist()]
+    def int_rows(x):
+        den = lcm(*(v.denominator for v in x.entries.values()))
+        out = [[0] * x.cols for _ in range(x.rows)]
+        for (r, c), v in x.entries.items():
+            out[r][c] = v.numerator * (den // v.denominator)
+        return out, den
 
-    da = lcm(*(v.denominator for v in a.flat))
-    db = lcm(*(v.denominator for v in b.flat))
-    prod = backends.matmul_int(int_rows(a, da), int_rows(b, db), n, k, m)
+    (ia, da), (ib, db) = int_rows(a), int_rows(b)
+    prod = backends.matmul_int(ia, ib, a.rows, a.cols, b.cols)
     scale = Fraction(1, da * db)
-    out = np.empty((n, m), dtype=object)
-    for i, row in enumerate(prod):
-        for j, v in enumerate(row):
-            out[i, j] = v * scale
-    return out
-
-
-def mat_vec(m, x) -> tuple:
-    m = np.asarray(m, dtype=object)
-    x = vec(x)
-    if m.shape[1] != len(x):
-        raise LinAlgError("shape mismatch in mat_vec")
-    return tuple(sum((m[i, j] * x[j] for j in range(len(x))), ZERO) for i in range(m.shape[0]))
+    entries = {(i, j): v * scale for i, row in enumerate(prod) for j, v in enumerate(row) if v}
+    return SparseMatrix(a.rows, b.cols, entries)
 
 
 @dataclass(frozen=True)
@@ -224,12 +197,10 @@ class SubspaceBasis:
     def dim(self) -> int:
         return len(self.vectors)
 
-    def matrix(self) -> np.ndarray:
-        m = np.empty((len(self.vectors), self.ambient_dim), dtype=object)
-        for i, v in enumerate(self.vectors):
-            for j in range(self.ambient_dim):
-                m[i, j] = v[j]
-        return m
+    def matrix(self) -> "SparseMatrix":
+        """The basis vectors as the rows of a matrix."""
+        entries = {(i, j): x for i, v in enumerate(self.vectors) for j, x in enumerate(v) if x}
+        return SparseMatrix(self.dim, self.ambient_dim, entries)
 
     def verify(self) -> bool:
         if not self.vectors:
@@ -263,9 +234,29 @@ def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
 
 @dataclass
 class SparseMatrix:
+    """A rows x cols matrix holding only its nonzero entries, so the
+    dataclass ``==`` is exact matrix equality."""
+
     rows: int
     cols: int
-    entries: dict  # (row, col) -> Fraction
+    entries: dict  # (row, col) -> nonzero Fraction
+
+    @property
+    def shape(self) -> tuple:
+        return self.rows, self.cols
+
+    def __getitem__(self, key):
+        return self.entries.get(key, ZERO)
+
+    __iter__ = None  # m[r, c] only; iterating would never stop
+
+    @property
+    def T(self) -> "SparseMatrix":
+        return SparseMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+
+    def column(self, c: int) -> dict:
+        """Column ``c`` as a sparse ``{row: value}`` dict."""
+        return {r: v for (r, k), v in self.entries.items() if k == c}
 
     def add(self, r: int, c: int, v) -> None:
         if not v:
@@ -277,11 +268,30 @@ class SparseMatrix:
         else:
             self.entries.pop(key, None)
 
-    def to_dense(self) -> np.ndarray:
-        m = zeros(self.rows, self.cols)
-        for (r, c), v in self.entries.items():
-            m[r, c] = v
-        return m
+    def __add__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.shape != other.shape:
+            raise LinAlgError("shape mismatch in matrix sum")
+        out = SparseMatrix(self.rows, self.cols, dict(self.entries))
+        for (r, c), v in other.entries.items():
+            out.add(r, c, v)
+        return out
+
+    def __neg__(self) -> "SparseMatrix":
+        return SparseMatrix(self.rows, self.cols, {k: -v for k, v in self.entries.items()})
+
+    def __sub__(self, other: "SparseMatrix") -> "SparseMatrix":
+        return self + -other
+
+    def __mul__(self, scalar) -> "SparseMatrix":
+        if not scalar:
+            return zeros(self.rows, self.cols)
+        return SparseMatrix(self.rows, self.cols, {k: scalar * v for k, v in self.entries.items()})
+
+    __rmul__ = __mul__
+
+    def to_dense(self) -> tuple:
+        """The rows as tuples, zeros included."""
+        return tuple(tuple(self[r, c] for c in range(self.cols)) for r in range(self.rows))
 
     def is_zero(self) -> bool:
         return not self.entries

@@ -135,10 +135,9 @@ def central_extension(alg: HomNambuAlgebra, phi: Cochain, lam=None) -> HomNambuA
         value = list(alg.bracket_basis(key)) + [phi.value((phi.space.windex[key[:-1]],), key[-1])]
         if any(value):
             coeffs[key] = tuple(value)
-    twist = linalg.zeros(d + 1, d + 1)
-    twist[:d, :d] = alg.twist
+    twist = linalg.SparseMatrix(d + 1, d + 1, dict(alg.twist.entries))
     for j in range(d):
-        twist[d, j] = lam[j]
+        twist.add(d, j, lam[j])
     return HomNambuAlgebra(d + 1, n, coeffs, twist)
 
 
@@ -152,8 +151,8 @@ def restrict_extension(ext: HomNambuAlgebra) -> HomNambuAlgebra:
         trimmed = value[:d]
         if any(trimmed):
             coeffs[key] = trimmed
-    twist = ext.twist[:d, :d]
-    return HomNambuAlgebra(d, ext.arity, coeffs, twist)
+    twist = {(r, c): v for (r, c), v in ext.twist.entries.items() if r < d and c < d}
+    return HomNambuAlgebra(d, ext.arity, coeffs, linalg.SparseMatrix(d, d, twist))
 
 
 def trivialization_map(alg: HomNambuAlgebra, psi_covector):
@@ -162,7 +161,7 @@ def trivialization_map(alg: HomNambuAlgebra, psi_covector):
     psi = linalg.vec(psi_covector)
     t = linalg.eye(d + 1)
     for j in range(d):
-        t[d, j] = psi[j]
+        t.add(d, j, psi[j])
     return t
 
 

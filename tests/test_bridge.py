@@ -40,8 +40,7 @@ def equivariant_matrix_cochain(alg, leib, rng):
         c = Fraction(rng.randint(-2, 2))
         if c:
             for i, x in enumerate(v):
-                if x:
-                    m[i // alg.dim, i % alg.dim] += c * x
+                m.add(i // alg.dim, i % alg.dim, c * x)
     return BridgeCochain(alg, leib, 0, m)
 
 
@@ -276,7 +275,7 @@ def rescaled_basis(alg, k, s):
         coeffs[key] = tuple(w * v / scale[r] for r, v in enumerate(value))
     twist = linalg.zeros(alg.dim, alg.dim)
     for r, c in itertools.product(range(alg.dim), repeat=2):
-        twist[r, c] = alg.twist[r, c] * scale[c] / scale[r]
+        twist.add(r, c, alg.twist[r, c] * scale[c] / scale[r])
     return HomNambuAlgebra(alg.dim, alg.arity, coeffs, twist)
 
 
