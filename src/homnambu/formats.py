@@ -28,7 +28,7 @@ from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra
 from .indices import sort_with_sign
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
 _BRACKET_LINE = re.compile(r"^\[([^\]]*)\]\s*->\s*(.*)$")
 
 
@@ -184,6 +184,8 @@ def _unflatten_key(space, indices, lineno=None):
         if tail not in space.nindex:
             raise ParseError(f"final group {tail} is not strictly increasing/in range", lineno)
         return tuple(blocks) + (space.nindex[tail],)
+    if not 0 <= indices[pos] < space.alg.dim:
+        raise ParseError(f"final index {indices[pos] + 1} is out of range", lineno)
     return tuple(blocks) + (indices[pos],)
 
 
@@ -249,7 +251,7 @@ def loads_cochains(text: str, alg):
     coeffs = None
     for lineno, line in lines[5:]:
         if re.match(r"^cochain\s+\d+$", line):
-            coeffs = {}
+            coeffs, seen = {}, set()
             cochains.append(Cochain(space, coeffs))
             continue
         m = _BRACKET_LINE.match(line)
@@ -260,6 +262,9 @@ def loads_cochains(text: str, alg):
         except ValueError:
             raise ParseError(f"bad index tuple {m.group(1)!r}", lineno) from None
         key = _unflatten_key(space, indices, lineno)
+        if key in seen:
+            raise ParseError(f"repeated key {m.group(1)!r} in one cochain", lineno)
+        seen.add(key)
         values = [parse_rational(tok, lineno) for tok in m.group(2).split(",")]
         if kind == "scalar":
             if len(values) != 1:

@@ -1,6 +1,9 @@
 """End-to-end CLI runs against the shipped fixture files."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 from homnambu import fixtures
@@ -17,6 +20,16 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def test_cli_imports_only_the_standard_library():
+    # a fresh interpreter, so that no other test has imported numpy first
+    paths = [str(FIXDIR.parent / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
+    probe = "import sys, homnambu.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
 def test_fixture_dir_is_shipped():
     assert (FIXDIR / "filippov_n3.alg").exists()
 
@@ -31,6 +44,22 @@ def test_validate_perturbed_fails_with_witness(capsys):
     code, out, _ = run(capsys, "validate", FIXDIR / "perturbed_n3.alg")
     assert code == 3
     assert "fail at x=" in out
+
+
+def test_zero_denominator_exit_2(tmp_path, capsys):
+    bad = tmp_path / "zero_denominator.alg"
+    text = (FIXDIR / "filippov_n3.alg").read_text()
+    bad.write_text(text.replace("\n1 0 0 0\n", "\n1/0 0 0 0\n", 1))
+    code, _, err = run(capsys, "validate", bad)
+    assert code == 2
+    assert "line 3: bad rational '1/0'" in err
+    rho = tmp_path / "rho.matrix"
+    rho.write_text("1/0 0 0 0\n0 1 0 0\n0 0 1 0\n0 0 0 1\n")
+    code, _, err = run(
+        capsys, "twist", FIXDIR / "filippov_n3.alg", "--map", rho, "-o", tmp_path / "out.alg"
+    )
+    assert code == 2
+    assert "line 1: bad rational '1/0'" in err
 
 
 def test_validate_parse_error_exit_2(tmp_path, capsys):

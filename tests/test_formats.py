@@ -1,8 +1,11 @@
 """Text grammar: parsing, canonical dumps, error reporting."""
 
+import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homnambu import fixtures, linalg
 from homnambu.formats import (
@@ -11,6 +14,8 @@ from homnambu.formats import (
     dumps_matrix,
     load_algebra,
     loads_algebra,
+    loads_cochains,
+    loads_leibniz,
     loads_matrix,
     loads_representation,
     parse_rational,
@@ -88,7 +93,7 @@ def test_bracket_index_out_of_range():
 def test_parse_rational_grammar():
     assert parse_rational("-3/4") == Fraction(-3, 4)
     assert parse_rational("+2") == 2
-    for bad in ("1.5", "3/-4", "a", "1/ 2"):
+    for bad in ("1.5", "3/-4", "a", "1/ 2", "1/0", "0/0"):
         with pytest.raises(ParseError):
             parse_rational(bad)
 
@@ -166,3 +171,99 @@ def test_representation_empty_index_list():
 def test_representation_repeated_block():
     with pytest.raises(ParseError):
         loads_representation(REP_HEAD + "rho [1,2]:\n0 1\n0 0\nrho [2,1]:\n0 1\n0 0\n")
+
+
+COCHAIN_HEAD = "kind = {kind}\ndegree = {degree}\ndim = 4\narity = 3\nmode = {mode}\ncochain 1\n"
+
+
+def scalar_cochains(body, degree=1, mode="split"):
+    text = COCHAIN_HEAD.format(kind="scalar", degree=degree, mode=mode) + body
+    return loads_cochains(text, fixtures.filippov_n3())
+
+
+def test_split_cochain_final_index_in_range():
+    assert scalar_cochains("[1,2,4] -> 1\n")[0].to_flat()
+    for bad in ("[1,2,9] -> 1\n", "[1,2,0] -> 1\n"):
+        with pytest.raises(ParseError, match="line 7"):
+            scalar_cochains(bad)
+
+
+def test_repeated_cochain_key_is_parse_error():
+    for body in ("[1,2,3] -> 1\n[1,2,3] -> 2\n", "[1,2,3] -> 1\n[1,2,3] -> 0\n"):
+        with pytest.raises(ParseError, match="line 8"):
+            scalar_cochains(body, mode="fused")
+    # the same key in two cochains is fine
+    two = scalar_cochains("[1,2,3] -> 1\ncochain 2\n[1,2,3] -> 2\n", mode="fused")
+    assert [c.to_flat()[0] for c in two] == [1, 2]
+
+
+# -- junk input: every loader fails with ParseError and nothing else ---------
+
+FUZZ_SAMPLES = {
+    "algebra": (GOOD, loads_algebra),
+    "matrix": ("1 0 -2\n1/2 3 0\n", loads_matrix),
+    "scalar fused": (
+        COCHAIN_HEAD.format(kind="scalar", degree=2, mode="fused") + "[1,2,1,3,4] -> 1/2\n",
+        "cochains",
+    ),
+    "scalar split": (
+        COCHAIN_HEAD.format(kind="scalar", degree=1, mode="split") + "[1,2,4] -> -1\n",
+        "cochains",
+    ),
+    "adjoint": (
+        COCHAIN_HEAD.format(kind="adjoint", degree=1, mode="fused") + "[1,2,3] -> 0,1,0,-1\n",
+        "cochains",
+    ),
+    "leibniz": ("kind = leibniz\ndim = 2\n1 0\n0 1\n[1,2] -> 0,1\n[2,1] -> 0,-1\n", loads_leibniz),
+    "representation": (REP_HEAD + "rho [2,1]:\n0 1\n0 0\n", loads_representation),
+}
+
+NUMBER = st.one_of(st.integers(-40, 40).map(str), st.sampled_from(["0", "1/0", "0/0"]))
+JUNK = st.one_of(
+    NUMBER,
+    st.sampled_from(
+        ["/", ",", "[", "]", "->", "=", ":", "#", "\n", " ", "-", "+", "x",
+         "dim = ", "arity = ", "degree = ", "mode = split", "kind = adjoint", "cochain 2",
+         "nu:", "rho [1,2]:", "\u00e9"]
+    ),
+)
+
+
+def capped(text: str) -> str:
+    """Every number at most 40 and every ``degree`` header at most 3:
+    a cochain space holds w^(p-1) C(d, n) keys, built up front."""
+    text = re.sub(r"\d+", lambda m: str(min(int(m.group()), 40)), text)
+    return re.sub(r"(degree\s*=\s*)(\d+)", lambda m: m.group(1) + str(min(int(m.group(2)), 3)), text)
+
+
+@st.composite
+def junk_texts(draw):
+    """A sample text with a few junk tokens inserted or a few of its
+    numbers replaced."""
+    name = draw(st.sampled_from(sorted(FUZZ_SAMPLES)))
+    text, load = FUZZ_SAMPLES[name]
+    rnd = draw(st.randoms(use_true_random=True))  # uniform over positions
+    for _ in range(draw(st.integers(1, 3))):
+        numbers = [m.span() for m in re.finditer(r"\d+", text)]
+        if numbers and rnd.random() < 0.5:
+            start, end = rnd.choice(numbers)
+            token = draw(NUMBER)
+        else:
+            start = end = rnd.randint(0, len(text))
+            token = draw(JUNK)
+        text = text[:start] + token + text[end:]
+    return capped(text), load
+
+
+@given(junk_texts())
+@settings(max_examples=1000, deadline=None)
+def test_junk_input_raises_only_parse_errors(case):
+    text, load = case
+    try:
+        if load == "cochains":
+            for cochain in loads_cochains(text, fixtures.filippov_n3()):
+                cochain.to_flat()
+        else:
+            load(text)
+    except ParseError:
+        pass
