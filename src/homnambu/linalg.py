@@ -72,15 +72,15 @@ def is_zero_matrix(m: "SparseMatrix") -> bool:
 def _rows(m, transpose=False):
     """Nonzero entries of ``m`` (or of its transpose) as one
     ``{column: value}`` dict per row, and the column count."""
-    if isinstance(m, SparseMatrix):
-        n, k = (m.cols, m.rows) if transpose else (m.rows, m.cols)
-        rows = [{} for _ in range(n)]
-        for (r, c), v in m.entries.items():
-            if transpose:
-                r, c = c, r
-            rows[r][c] = v
-        return rows, k
-    return _rows(mat(m), transpose)
+    if not isinstance(m, SparseMatrix):
+        m = mat(m)
+    n, k = (m.cols, m.rows) if transpose else (m.rows, m.cols)
+    rows = [{} for _ in range(n)]
+    for (r, c), v in m.entries.items():
+        if transpose:
+            r, c = c, r
+        rows[r][c] = v
+    return rows, k
 
 
 def _echelon(rows, cols):
@@ -100,7 +100,7 @@ def _scaled(row, lead):
 
 
 def rank(m) -> int:
-    """Exact rank over the rationals of a dense or sparse matrix."""
+    """Exact rank over the rationals of a matrix or a sequence of rows."""
     return _echelon(*_rows(m))[2]
 
 
