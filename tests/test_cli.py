@@ -21,13 +21,18 @@ def run(capsys, *argv):
 
 
 def test_cli_imports_only_the_standard_library():
-    # a fresh interpreter, so that no other test has imported numpy first
+    # a fresh interpreter, so that no other test's imports are counted
     paths = [str(FIXDIR.parent / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in paths if p))
-    probe = "import sys, homnambu.cli; print('numpy' in sys.modules)"
+    probe = (
+        "import sys; before = set(sys.modules); import homnambu.cli; "
+        "print(*sorted({m.split('.')[0] for m in set(sys.modules) - before}))"
+    )
     out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    imported = set(out.stdout.split())
+    assert "homnambu" in imported
+    assert imported - {"homnambu"} <= sys.stdlib_module_names
 
 
 def test_fixture_dir_is_shipped():
