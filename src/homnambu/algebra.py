@@ -20,7 +20,7 @@ import itertools
 from fractions import Fraction
 
 from . import linalg
-from .indices import sort_with_sign, sv_add, wedge_basis
+from .indices import expand, sort_with_sign, sv_add, wedge_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -142,13 +142,8 @@ def bracket_eval_sparse(alg: HomNambuAlgebra, args) -> dict:
     if len(args) != alg.arity:
         raise AlgebraError(f"bracket needs {alg.arity} arguments, got {len(args)}")
     out = {}
-    for combo in itertools.product(*(a.items() for a in args)):
-        coeff = ONE
-        for _, c in combo:
-            coeff *= c
-        if not coeff:
-            continue
-        for idx, v in alg.bracket_basis_sparse(tuple(i for i, _ in combo)).items():
+    for ids, coeff in expand(args):
+        for idx, v in alg.bracket_basis_sparse(ids).items():
             sv_add(out, idx, coeff * v)
     return out
 

@@ -44,28 +44,11 @@ from functools import partial
 from . import linalg
 from .algebra import HomNambuAlgebra
 from .fundamental import HomLeibnizAlgebra, fundamental_of
-from .indices import sort_with_sign, sv_add, tensor_basis
-
-
-def _exact(v):
-    """An integral value as ``int``, any other rational as ``Fraction``."""
-    return v.numerator if v.denominator == 1 else v
-
-
-def _exact_vec(vec: dict) -> dict:
-    return {k: _exact(v) for k, v in vec.items() if v}
+from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis
 
 
 def _exact_values(coeffs: dict) -> dict:
-    return {key: ev for key, vec in coeffs.items() if (ev := _exact_vec(vec))}
-
-
-def _expand(vectors):
-    """``(index tuple, weight)`` pairs of a product of sparse vectors."""
-    out = [((), 1)]
-    for vec in vectors:
-        out = [(t + (i,), w * c) for t, w in out for i, c in vec.items()]
-    return out
+    return {key: ev for key, vec in coeffs.items() if (ev := exact_vec(vec))}
 
 
 def _slot_map(f, vectors, s: int, dim: int) -> dict:
@@ -112,7 +95,7 @@ def _pointwise(values: dict, keys, terms) -> dict:
 def tensor_of_vectors(tindex, vectors) -> dict:
     """Expand a decomposable tensor of sparse vectors into coordinates."""
     out = {}
-    for t, w in _expand(vectors):
+    for t, w in expand(vectors):
         k = tindex[t]
         out[k] = out.get(k, 0) + w
     return {k: v for k, v in out.items() if v}
@@ -121,7 +104,7 @@ def tensor_of_vectors(tindex, vectors) -> dict:
 def _bracket(leib: HomLeibnizAlgebra, vectors) -> dict:
     """The n-ary bracket of n sparse vectors, read off the L-action table."""
     acc = {}
-    for t, w in _expand(vectors):
+    for t, w in expand(vectors):
         for r, c in leib.l_action[leib.index[t[:-1]]][t[-1]].items():
             acc[r] = acc.get(r, 0) + w * c
     return {r: x for r, x in acc.items() if x}
@@ -132,8 +115,8 @@ def build_tensor_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
     n, d = alg.arity, alg.dim
     basis = tensor_basis(d, n - 1)
     tindex = {t: i for i, t in enumerate(basis)}
-    alpha_cols = [_exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
-    l_action = [[_exact_vec(alg.bracket_basis_sparse(t + (z,))) for z in range(d)] for t in basis]
+    alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    l_action = [[exact_vec(alg.bracket_basis_sparse(t + (z,))) for z in range(d)] for t in basis]
     table = []
     for lx in l_action:
         row = []
@@ -227,7 +210,7 @@ def _leibniz_terms(leib: HomLeibnizAlgebra, p: int, args, left, right):
             if bracket:
                 vecs = [leib.twist_cols[args[t]] for t in range(p + 1) if t != k]
                 vecs[j - 1] = bracket
-                scalars += [(key, sk * w) for key, w in _expand(vecs)]
+                scalars += [(key, sk * w) for key, w in expand(vecs)]
     return scalars, maps
 
 
@@ -302,7 +285,7 @@ class BridgeCochain:
         if len(blocks) != self.degree:
             raise ValueError("block count mismatch")
         out = {}
-        for ids, w in _expand(blocks):
+        for ids, w in expand(blocks):
             for zi, zc in z.items():
                 for k, v in self.coeffs.get(ids + (zi,), {}).items():
                     sv_add(out, k, w * zc * v)
@@ -327,8 +310,8 @@ def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
     d, n, p = alg.dim, alg.arity, phi.degree
     lact, twist = leib.l_action, leib.twist_cols
     bracket = partial(_bracket, leib)
-    alpha = [_exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
-    alpha_p = [_exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
+    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
     # L(a^p(b_a)) and [a^p(x^1), ..., b_m in slot s, ..., a^p(x^(n-1)), a^p(z)]
     lpow = [_slot_map(bracket, [alpha_p[x] for x in t] + [None], n - 1, d) for t in leib.basis]
     fourth = [
@@ -349,10 +332,10 @@ def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
                 b = leib.table[args[i]][args[j]]
                 if b:
                     vecs = twisted[:j - 1] + [b] + twisted[j:] + [alpha[z]]
-                    scalars += [(t, sign * w) for t, w in _expand(vecs)]
+                    scalars += [(t, sign * w) for t, w in expand(vecs)]
             lz = lact[args[i]][z]
             if lz:
-                scalars += [(t, sign * w) for t, w in _expand(twisted + [lz])]
+                scalars += [(t, sign * w) for t, w in expand(twisted + [lz])]
             maps.append((rest + (z,), -sign, lpow[args[i]]))
         last = leib.basis[args[p]]
         for s in range(n - 1):
@@ -384,7 +367,7 @@ def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
     feeding each factor of the last block through it."""
     alg, leib = phi.alg, phi.leib
     d, n = alg.dim, alg.arity
-    alpha_p = [_exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
+    alpha_p = [exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
     tensor = partial(tensor_of_vectors, leib.index)
     ops = [
         [_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)]
@@ -400,7 +383,7 @@ def delta_lift_ternary(phi: BridgeCochain) -> LeibnizCochain:
     if alg.arity != 3:
         raise ValueError("ternary lift needs arity 3")
     d = alg.dim
-    alpha_p = [_exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
+    alpha_p = [exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
     tensor = partial(tensor_of_vectors, leib.index)
     # phi(..., x1) (x) a^p(x2) + a^p(x1) (x) phi(..., x2)
     first = [_slot_map(tensor, [None, alpha_p[x]], 0, d) for x in range(d)]

@@ -48,13 +48,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .fundamental import fundamental_of, l_action_sparse
-from .indices import sort_with_sign, sv_add, wedge_basis
+from .fundamental import fundamental_of
+from .indices import exact_vec, expand, sort_with_sign, sv_add, wedge_basis
 
-ONE = Fraction(1)
 ZERO = Fraction(0)
 
 MODES = ("fused", "split")
@@ -83,22 +83,33 @@ class CochainSpace:
         self.windex = {t: i for i, t in enumerate(self.wedge)}
         self.nforms = wedge_basis(d, n)
         self.nindex = {t: i for i, t in enumerate(self.nforms)}
+        # the fused group of a wedge id and a final index: (n-form id, sign)
+        fused = [[sort_with_sign(t + (z,)) for z in range(d)] for t in self.wedge]
+        self.fuse = [[(self.nindex.get(m), sign) for m, sign in row] for row in fused]
+        self.value_dim = d if kind == "adjoint" else 1
         w = len(self.wedge)
-        if mode == "fused":
-            self.keys = [
+        nkeys = w ** (degree - 1) * len(self.nforms) if mode == "fused" else w ** degree * d
+        self.dim = nkeys * self.value_dim
+
+    @cached_property
+    def keys(self) -> list:
+        """Every canonical key in coordinate order, built on first use."""
+        w = len(self.wedge)
+        if self.mode == "fused":
+            return [
                 tuple(bs) + (m,)
-                for bs in itertools.product(range(w), repeat=degree - 1)
+                for bs in itertools.product(range(w), repeat=self.degree - 1)
                 for m in range(len(self.nforms))
             ]
-        else:
-            self.keys = [
-                tuple(bs) + (z,)
-                for bs in itertools.product(range(w), repeat=degree)
-                for z in range(d)
-            ]
-        self.key_index = {k: i for i, k in enumerate(self.keys)}
-        self.value_dim = d if kind == "adjoint" else 1
-        self.dim = len(self.keys) * self.value_dim
+        return [
+            tuple(bs) + (z,)
+            for bs in itertools.product(range(w), repeat=self.degree)
+            for z in range(self.alg.dim)
+        ]
+
+    @cached_property
+    def key_index(self) -> dict:
+        return {k: i for i, k in enumerate(self.keys)}
 
     def coord(self, key, comp: int = 0) -> int:
         return self.key_index[key] * self.value_dim + comp
@@ -115,11 +126,8 @@ class CochainSpace:
         sign 0 when the fused group has a repeat."""
         if self.mode == "split":
             return tuple(block_ids) + (z,), 1
-        merged, sign = sort_with_sign(self.wedge[block_ids[-1]] + (z,))
-        if sign == 0:
-            return None, 0
-        key = tuple(block_ids[:-1]) + (self.nindex[merged],)
-        return key, sign
+        m, sign = self.fuse[block_ids[-1]][z]
+        return (tuple(block_ids[:-1]) + (m,), sign) if sign else (None, 0)
 
     def functional(self, blocks, z) -> dict:
         """Weights with which a cochain's stored coordinates are read
@@ -131,13 +139,7 @@ class CochainSpace:
         if len(blocks) != self.degree:
             raise CochainError(f"need {self.degree} block arguments")
         out = {}
-        for combo in itertools.product(*(b.items() for b in blocks)):
-            w = ONE
-            for _, c in combo:
-                w *= c
-            if not w:
-                continue
-            ids = tuple(i for i, _ in combo)
+        for ids, w in expand(blocks):
             for zi, zc in z.items():
                 key, sign = self.canonical_key(ids, zi)
                 if sign:
@@ -248,10 +250,11 @@ def operator_respects_fusion(space_split: CochainSpace, m: linalg.SparseMatrix) 
 
 
 def _rho_columns(rep) -> dict:
-    """Sparse columns of every nonzero rho matrix, by increasing tuple."""
+    """Sparse columns of every nonzero rho matrix, by increasing tuple,
+    integral entries as ints."""
     out = {}
     for key, m in rep.rho.items():
-        cols = [m.column(c) for c in range(rep.dim)]
+        cols = [exact_vec(m.column(c)) for c in range(rep.dim)]
         if any(cols):
             out[key] = cols
     return out
@@ -261,14 +264,12 @@ def _rho_weights(rho_cols: dict, args, dim: int):
     """Sparse columns of rho at n-1 sparse vectors (skew multilinear
     expansion); None when rho vanishes there."""
     out = [{} for _ in range(dim)]
-    for combo in itertools.product(*(a.items() for a in args)):
-        canon, sign = sort_with_sign(tuple(i for i, _ in combo))
+    for ids, coeff in expand(args):
+        canon, sign = sort_with_sign(ids)
         cols = rho_cols.get(canon) if sign else None
         if cols is None:
             continue
-        coeff = sign
-        for _, c in combo:
-            coeff *= c
+        coeff *= sign
         for c, col in enumerate(cols):
             for r, v in col.items():
                 sv_add(out[c], r, coeff * v)
@@ -279,13 +280,23 @@ def coboundary_matrix(
     alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
     """Sparse matrix of the degree-p coboundary with values in ``rep``,
-    p >= 1: the four terms of the module docstring."""
+    p >= 1: the four terms of the module docstring.
+
+    Every table (twist columns, the fundamental bracket and twist, the
+    L-action and the rho weights) is built once with integral values as
+    ints, so integral structure constants give integer arithmetic.
+    """
     fund = fundamental_of(alg)
     space_in = CochainSpace(alg, p, "scalar", mode)
     space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
     d, n, dv = alg.dim, alg.arity, rep.dim
-    alpha = [alg.twist_column_sparse(i) for i in range(d)]
-    alpha_p = [alg.twist_column_sparse(i, p) for i in range(d)]
+    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
+    twist = [exact_vec(col) for col in fund.twist_cols]
+    table = [[exact_vec(v) for v in row] for row in fund.table]
+    # L(x).e_z per wedge id x and basis index z
+    laction = [[exact_vec(alg.bracket_basis_sparse(x + (z,))) for z in range(d)]
+               for x in fund.basis]
     rho_cols = _rho_columns(rep)
     # weights of d3, rho(a^p(x)) per wedge id x, and of d4,
     # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per (y, s, z); none when rho = 0
@@ -296,43 +307,44 @@ def coboundary_matrix(
         fourth = {(b, s, z): _rho_weights(rho_cols, [alpha_p[t] for t in y[:s] + y[s + 1:]]
                                           + [alpha_p[z]], dv)
                   for b, y in enumerate(fund.basis) for s in range(n - 1) for z in range(d)}
-    m = linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, {})
 
-    def scatter(row, blocks, final, sign, weights=None):
-        """Add sign * weights . psi(blocks, final); no weights: identity."""
+    def scatter(block, blocks, final, sign, weights=None):
+        """Add sign * weights . psi(blocks, final) to a row block keyed
+        (row offset, column); no weights: the identity."""
         for in_key, w in space_in.functional(blocks, final).items():
-            col = space_in.key_index[in_key] * dv
+            col, w = space_in.key_index[in_key] * dv, sign * w
             if weights is None:
                 for r in range(dv):
-                    m.add(row + r, col + r, sign * w)
+                    block[r, col + r] = block.get((r, col + r), 0) + w
                 continue
             for c, column in enumerate(weights):
                 for r, v in column.items():
-                    m.add(row + r, col + c, sign * w * v)
+                    block[r, col + c] = block.get((r, col + c), 0) + w * v
 
+    entries = {}
     for k, key in enumerate(space_out.keys):
         block_ids, z = space_out.decode_args(key)
-        row = k * dv
-        units = [{b: ONE} for b in block_ids]
-        alpha_blocks = [fund.twist_sparse(u) for u in units]
+        block = {}
+        units = [{b: 1} for b in block_ids]
+        alpha_blocks = [twist[b] for b in block_ids]
         for i, b in enumerate(block_ids):
             sign = -1 if i % 2 == 0 else 1  # (-1)^i with 1-based i
             rest = alpha_blocks[:i] + alpha_blocks[i + 1:]
             for j in range(i + 1, len(block_ids)):  # d1, the bracket in slot j
-                bracket = fund.table[b][block_ids[j]]
+                bracket = table[b][block_ids[j]]
                 if bracket:
-                    scatter(row, rest[:j - 1] + [bracket] + rest[j:], alpha[z], sign)
-            lz = l_action_sparse(alg, fund.basis, units[i], {z: ONE})
-            if lz:  # d2
-                scatter(row, rest, lz, sign)
+                    scatter(block, rest[:j - 1] + [bracket] + rest[j:], alpha[z], sign)
+            if laction[b][z]:  # d2
+                scatter(block, rest, laction[b][z], sign)
             if third.get(b):
-                scatter(row, units[:i] + units[i + 1:], {z: ONE}, -sign, third[b])
+                scatter(block, units[:i] + units[i + 1:], {z: 1}, -sign, third[b])
         y = fund.basis[block_ids[-1]]
         for s in range(n - 1):
             weights = fourth.get((block_ids[-1], s, z))
             if weights:  # sign (-1)^p (-1)^(n-s) with 1-based s
-                scatter(row, units[:-1], {y[s]: ONE}, (-1) ** (p + n - 1 - s), weights)
-    return m
+                scatter(block, units[:-1], {y[s]: 1}, (-1) ** (p + n - 1 - s), weights)
+        entries.update(((k * dv + r, c), v) for (r, c), v in block.items() if v)
+    return linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, entries)
 
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, rep, mode: str = "fused") -> linalg.SparseMatrix:
@@ -340,21 +352,24 @@ def zero_coboundary_matrix(alg: HomNambuAlgebra, rep, mode: str = "fused") -> li
     space = CochainSpace(alg, 1, "scalar", mode)
     d, n, dv = alg.dim, alg.arity, rep.dim
     rho_cols = _rho_columns(rep)
-    m = linalg.SparseMatrix(space.dim * dv, dv * d, {})
+    entries = {}
     for k, key in enumerate(space.keys):
         blocks, z = space.decode_args(key)
         args = space.wedge[blocks[0]] + (z,)
-        row = k * dv
+        block = {}
         for i in range(n):
-            rest = [{t: ONE} for t in args[:i] + args[i + 1:]]
+            rest = [{t: 1} for t in args[:i] + args[i + 1:]]
             weights = _rho_weights(rho_cols, rest, dv) if rho_cols else None
+            sign = (-1) ** (n - 1 - i)  # (-1)^(n-i) with 1-based i
             for c, column in enumerate(weights or ()):
-                for r, v in column.items():  # sign (-1)^(n-i) with 1-based i
-                    m.add(row + r, c * d + args[i], (-1) ** (n - 1 - i) * v)
-        for c, v in alg.bracket_basis_sparse(args).items():
+                for r, v in column.items():
+                    col = c * d + args[i]
+                    block[r, col] = block.get((r, col), 0) + sign * v
+        for c, v in exact_vec(alg.bracket_basis_sparse(args)).items():
             for r in range(dv):
-                m.add(row + r, r * d + c, -v)
-    return m
+                block[r, r * d + c] = block.get((r, r * d + c), 0) - v
+        entries.update(((k * dv + r, c), v) for (r, c), v in block.items() if v)
+    return linalg.SparseMatrix(space.dim * dv, dv * d, entries)
 
 
 def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> linalg.SparseMatrix:
@@ -363,17 +378,17 @@ def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> lina
     space = CochainSpace(alg, p, "scalar", mode)
     fund = fundamental_of(alg)
     dv = rep.dim
-    alpha = [alg.twist_column_sparse(i) for i in range(alg.dim)]
-    nu = sorted(rep.nu.entries.items())
-    m = linalg.SparseMatrix(space.dim * dv, space.dim * dv, {})
+    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
+    twist = [exact_vec(col) for col in fund.twist_cols]
+    nu = exact_vec(rep.nu.entries)
+    entries = {}
     for k, key in enumerate(space.keys):
         block_ids, z = space.decode_args(key)
         row = k * dv
-        for (r, c), v in nu:
-            m.add(row + r, row + c, v)
-        blocks = [fund.twist_sparse({b: ONE}) for b in block_ids]
-        for in_key, w in space.functional(blocks, alpha[z]).items():
+        block = {(r, row + c): v for (r, c), v in nu.items()}
+        for in_key, w in space.functional([twist[b] for b in block_ids], alpha[z]).items():
             col = space.key_index[in_key] * dv
             for r in range(dv):
-                m.add(row + r, col + r, -w)
-    return m
+                block[r, col + r] = block.get((r, col + r), 0) - w
+        entries.update(((row + r, c), v) for (r, c), v in block.items() if v)
+    return linalg.SparseMatrix(space.dim * dv, space.dim * dv, entries)

@@ -12,13 +12,12 @@ spaces of derivations live in Q^(d^2) as ordinary subspaces.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra, ad_matrix, bracket_eval_sparse
-from .indices import sort_with_sign, sv_to_dense, wedge_basis
+from .indices import expand, sort_with_sign, sv_to_dense, wedge_basis
 
 ONE = Fraction(1)
 
@@ -201,14 +200,8 @@ def adjoint_representation(alg: HomNambuAlgebra) -> RepresentationMap:
 def _rho_eval(rep: RepresentationMap, sparse_args) -> linalg.SparseMatrix:
     """Multilinear skew expansion of rho on sparse vectors."""
     out = linalg.zeros(rep.dim, rep.dim)
-    for combo in itertools.product(*(a.items() for a in sparse_args)):
-        coeff = ONE
-        for _, c in combo:
-            coeff *= c
-        if not coeff:
-            continue
-        m = rep.rho_basis(tuple(i for i, _ in combo))
-        out = out + coeff * m
+    for ids, coeff in expand(sparse_args):
+        out = out + coeff * rep.rho_basis(ids)
     return out
 
 

@@ -14,13 +14,12 @@ are sparse coordinate dicts over wedge indices.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
 from .algebra import HomNambuAlgebra, bracket_eval_sparse
-from .indices import sort_with_sign, sv_add, wedge_basis
+from .indices import expand, sort_with_sign, sv_add, wedge_basis
 
 ONE = Fraction(1)
 
@@ -36,14 +35,8 @@ def wedge_of_indices(windex, idx_tuple) -> dict:
 def wedge_of_vectors(windex, vectors) -> dict:
     """Expand a decomposable wedge of sparse vectors into wedge coords."""
     out = {}
-    items = [list(v.items()) for v in vectors]
-    for combo in itertools.product(*items):
-        coeff = ONE
-        for _, c in combo:
-            coeff *= c
-        if not coeff:
-            continue
-        canon, sign = sort_with_sign(tuple(i for i, _ in combo))
+    for ids, coeff in expand(vectors):
+        canon, sign = sort_with_sign(ids)
         if sign:
             sv_add(out, windex[canon], sign * coeff)
     return out

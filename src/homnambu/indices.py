@@ -56,7 +56,25 @@ def levi_civita(indices) -> int:
 
 
 # ---------------------------------------------------------------------------
-# sparse vectors: {index: Fraction} with zero entries never stored
+# sparse vectors: {index: rational} with zero entries never stored
+
+
+def exact(v):
+    """An integral value as ``int``, any other rational as ``Fraction``."""
+    return v.numerator if v.denominator == 1 else v
+
+
+def exact_vec(vec: dict) -> dict:
+    return {k: exact(v) for k, v in vec.items() if v}
+
+
+def expand(vectors):
+    """``(index tuple, weight)`` pairs of a product of sparse vectors, in
+    lexicographic order of the factors' entries."""
+    out = [((), 1)]
+    for vec in vectors:
+        out = [(t + (i,), w * c) for t, w in out for i, c in vec.items()]
+    return out
 
 
 def sv_add(acc: dict, key, coeff) -> None:

@@ -365,6 +365,22 @@ def test_cohomology_adjoint_degree_0_exit_4(capsys):
     assert "adjoint cohomology starts at degree 1" in err
 
 
+def test_cochain_file_of_degree_12_exit_4(tmp_path, capsys):
+    # 6^11 * 4 keys at this degree: refused for its degree, not built
+    key = "[" + "1,2," * 11 + "2,3,4] -> "
+    head = "degree = 12\ndim = 4\narity = 3\nmode = fused\ncochain 1\n"
+    scalar, adjoint = tmp_path / "s.cochains", tmp_path / "a.cochains"
+    scalar.write_text("kind = scalar\n" + head + key + "1\n")
+    adjoint.write_text("kind = adjoint\n" + head + key + "1,0,0,0\n")
+    alg = FIXDIR / "filippov_n3.alg"
+    code, _, err = run(capsys, "extend", alg, "--cochain", scalar, "-o", tmp_path / "ext.alg")
+    assert code == 4
+    assert "scalar degree-1 cochain" in err
+    code, _, err = run(capsys, "deform-check", alg, "--cochain", adjoint)
+    assert code == 4
+    assert "adjoint degree-1 cochain" in err
+
+
 def test_cochain_file_of_degree_0_exit_2(tmp_path, capsys):
     cfile = tmp_path / "zero.cochains"
     cfile.write_text("kind = adjoint\ndegree = 0\ndim = 4\narity = 3\nmode = fused\n")

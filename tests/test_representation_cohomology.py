@@ -2,17 +2,21 @@
 representation of sl2, the trivial representation on Q^2 and the
 adjoint representation moved by a change of basis."""
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
 from homnambu import adjoint_cohomology, cochains, fixtures, linalg, scalar_cohomology
 from homnambu.cochains import CochainSpace
+from homnambu.algebra import HomNambuAlgebra, is_valid
 from homnambu.derivations import (
     RepresentationMap,
     adjoint_representation,
     check_rep_equivalence,
     check_representation,
+    trivial_representation,
 )
 
 
@@ -144,3 +148,68 @@ def test_functional_call_counts(monkeypatch):
     calls[0] = 0
     adjoint_cohomology.coboundary_matrix(alg, 2, "fused", "split")
     assert calls[0] <= 7344
+
+
+def test_integral_operators_have_int_entries():
+    # integral structure constants keep assembly in int arithmetic; a
+    # Fraction entry equal to an int would pass every golden file
+    alg = fixtures.filippov_n3()
+    for m in (
+        scalar_cohomology.coboundary_matrix(alg, 2, "fused", "split"),
+        adjoint_cohomology.coboundary_matrix(alg, 1),
+        adjoint_cohomology.coboundary_matrix(alg, 1, "fused", "split"),
+    ):
+        assert m.entries
+        assert all(type(v) is int for v in m.entries.values())
+
+
+HALF = [Fraction(1, 2), Fraction(1), Fraction(1)]
+
+
+def halved_e1(alg):
+    """The same algebra in the basis where e_1 is replaced by e_1 / 2."""
+    coeffs = {
+        key: tuple(math.prod(HALF[i] for i in key) * v / HALF[r] for r, v in enumerate(value))
+        for key, value in alg.coeffs.items()
+    }
+    twist = {(r, c): v * HALF[c] / HALF[r] for (r, c), v in alg.twist.entries.items()}
+    return HomNambuAlgebra(alg.dim, alg.arity, coeffs, linalg.SparseMatrix(alg.dim, alg.dim, twist))
+
+
+def halved_coordinates(alg, p, mode, dv):
+    """Per coordinate of a degree-p cochain with dv value components, the
+    factor that turns its coordinate over ``alg`` into the one over
+    ``halved_e1(alg)``: the product of the argument scales, over the
+    value's scale for adjoint values."""
+    space = CochainSpace(alg, p, "scalar", mode)
+    out = []
+    for key in space.keys:
+        blocks, z = space.decode_args(key)
+        f = math.prod(HALF[i] for b in blocks for i in space.wedge[b]) * HALF[z]
+        out += [f / HALF[r] if dv > 1 else f for r in range(dv)]
+    return out
+
+
+def test_operators_stay_exact_with_rational_structure_constants():
+    base = fixtures.volume_form_d3_twisted()
+    alg = halved_e1(base)
+    assert is_valid(alg)
+    assert alg.coeffs[(0, 1, 2)] == (-1, -1, Fraction(1, 2))
+    for rep_of in (trivial_representation, adjoint_representation):
+        rep, dv = rep_of(alg), rep_of(alg).dim
+        for p in (1, 2):
+            assert d_squared_is_zero(alg, rep, p, restrict=dv > 1)
+        # the operator over alg is the one over base in rescaled coordinates
+        for p, out_mode in ((1, "fused"), (2, "fused"), (2, "split"), (3, "fused")):
+            f_in = halved_coordinates(base, p, "fused", dv)
+            f_out = halved_coordinates(base, p + 1, out_mode, dv)
+            moved = {
+                (r, c): v * f_out[r] / f_in[c]
+                for (r, c), v in operator(base, rep_of(base), p, "fused", out_mode).entries.items()
+            }
+            assert operator(alg, rep, p, "fused", out_mode).entries == moved
+    # an isomorphic algebra: the same dimensions in every degree
+    for p in (1, 2, 3):
+        for module in (scalar_cohomology, adjoint_cohomology):
+            got, want = module.cohomology(alg, p), module.cohomology(base, p)
+            assert (got.dim_z, got.dim_b, got.dim_h) == (want.dim_z, want.dim_b, want.dim_h)
