@@ -5,7 +5,8 @@ The adjoint complex is the complex of :mod:`homnambu.cochains` with
 values in the adjoint representation (V = L, rho(x) = L(x), nu the
 twist), which states its four-term coboundary.  Cochains are required
 to intertwine the twist (equivariance); the reports are computed inside
-that subspace.
+that subspace, so the cocycles are the kernel of the coboundary together
+with the equivariance rows.
 
 Degree 0 is the derivation-defect extension
 
@@ -120,27 +121,26 @@ def equivariant_matrix_space(alg: HomNambuAlgebra) -> linalg.SubspaceBasis:
 def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointReport:
     """Report inside the equivariant subspace.
 
-    Cocycles come from the operator evaluated pointwise (split rows);
-    degree-1 coboundaries use the derivation-defect convention, and the
-    report also carries the value without them.
+    Cocycles are the kernel of the operator evaluated pointwise (split
+    rows) stacked on the equivariance rows; degree-1 coboundaries use
+    the derivation-defect convention, and the report also carries the
+    value without them.
     """
     if p < 1:
         raise ValueError("adjoint reports start at degree 1")
-    equi = equivariant_basis(alg, p, mode)
+    equi = equivariance_matrix(alg, p, mode)
     delta = coboundary_matrix(alg, p, mode, "split")
+    stacked = linalg.SparseMatrix(delta.rows + equi.rows, delta.cols, dict(delta.entries))
+    stacked.entries.update(((delta.rows + r, c), v) for (r, c), v in equi.entries.items())
     if p == 1:
-        prev = linalg.restrict_columns(
-            zero_coboundary_matrix(alg, mode), equivariant_matrix_space(alg)
-        )
+        prev, inside = zero_coboundary_matrix(alg, mode), equivariant_matrix_space(alg)
     else:
-        prev = linalg.restrict_columns(
-            coboundary_matrix(alg, p - 1, mode), equivariant_basis(alg, p - 1, mode)
-        )
-    z, b, dim_h = linalg.homology(delta, prev, equi)
+        prev, inside = coboundary_matrix(alg, p - 1, mode), equivariant_basis(alg, p - 1, mode)
+    z, b, dim_h = linalg.homology(stacked, linalg.restrict_columns(prev, inside))
     return AdjointReport(
         degree=p,
         dim_c=delta.cols,
-        dim_equivariant=equi.dim,
+        dim_equivariant=delta.cols - linalg.rank(equi),
         dim_z=z.dim,
         dim_b=b.dim,
         dim_h=dim_h,

@@ -43,7 +43,7 @@ from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .fundamental import HomLeibnizAlgebra, fundamental_of
+from .fundamental import HomLeibnizAlgebra, fundamental_of, induced_algebra
 from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis
 
 
@@ -112,29 +112,9 @@ def _bracket(leib: HomLeibnizAlgebra, vectors) -> dict:
 
 def build_tensor_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
     """The induced binary bracket on (n-1)-fold tensor blocks."""
-    n, d = alg.arity, alg.dim
-    basis = tensor_basis(d, n - 1)
+    basis = tensor_basis(alg.dim, alg.arity - 1)
     tindex = {t: i for i, t in enumerate(basis)}
-    alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
-    l_action = [[exact_vec(alg.bracket_basis_sparse(t + (z,))) for z in range(d)] for t in basis]
-    table = []
-    for lx in l_action:
-        row = []
-        for yt in basis:
-            out = {}
-            for s in range(n - 1):
-                if lx[yt[s]]:
-                    factors = [alpha_cols[y] for y in yt]
-                    factors[s] = lx[yt[s]]
-                    for k, v in tensor_of_vectors(tindex, factors).items():
-                        out[k] = out.get(k, 0) + v
-            row.append({k: v for k, v in out.items() if v})
-        table.append(row)
-    twist_cols = [tensor_of_vectors(tindex, [alpha_cols[k] for k in t]) for t in basis]
-    return HomLeibnizAlgebra(
-        dim=len(basis), basis=basis, index=tindex, table=table, twist_cols=twist_cols,
-        source=alg, l_action=l_action,
-    )
+    return induced_algebra(alg, basis, partial(tensor_of_vectors, tindex))
 
 
 def tensor_fundamental_of(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:

@@ -111,9 +111,6 @@ class CochainSpace:
     def key_index(self) -> dict:
         return {k: i for i, k in enumerate(self.keys)}
 
-    def coord(self, key, comp: int = 0) -> int:
-        return self.key_index[key] * self.value_dim + comp
-
     def decode_args(self, key):
         """Canonical argument tuple of a key: (block ids, final index)."""
         if self.mode == "fused":
@@ -284,7 +281,8 @@ def coboundary_matrix(
 
     Every table (twist columns, the fundamental bracket and twist, the
     L-action and the rho weights) is built once with integral values as
-    ints, so integral structure constants give integer arithmetic.
+    ints, so integral structure constants give integer arithmetic; the
+    fundamental ones are those of :func:`fundamental_of`.
     """
     fund = fundamental_of(alg)
     space_in = CochainSpace(alg, p, "scalar", mode)
@@ -292,11 +290,7 @@ def coboundary_matrix(
     d, n, dv = alg.dim, alg.arity, rep.dim
     alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
     alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
-    twist = [exact_vec(col) for col in fund.twist_cols]
-    table = [[exact_vec(v) for v in row] for row in fund.table]
-    # L(x).e_z per wedge id x and basis index z
-    laction = [[exact_vec(alg.bracket_basis_sparse(x + (z,))) for z in range(d)]
-               for x in fund.basis]
+    twist, table, laction = fund.twist_cols, fund.table, fund.l_action
     rho_cols = _rho_columns(rep)
     # weights of d3, rho(a^p(x)) per wedge id x, and of d4,
     # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per (y, s, z); none when rho = 0
@@ -379,7 +373,7 @@ def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> lina
     fund = fundamental_of(alg)
     dv = rep.dim
     alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
-    twist = [exact_vec(col) for col in fund.twist_cols]
+    twist = fund.twist_cols
     nu = exact_vec(rep.nu.entries)
     entries = {}
     for k, key in enumerate(space.keys):

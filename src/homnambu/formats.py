@@ -383,6 +383,8 @@ def loads_representation(text: str):
         raise ParseError("missing 'arity' and 'dim' headers")
     arity = _parse_header(lines[0][1], "arity", lines[0][0])
     dim = _parse_header(lines[1][1], "dim", lines[1][0])
+    if arity < 2:
+        raise ParseError("need arity >= 2", lines[0][0])
     pos = 2
 
     def read_matrix(pos):
@@ -396,6 +398,8 @@ def loads_representation(text: str):
             rows.append([parse_rational(tok, lineno) for tok in tokens])
         return linalg.mat(rows), pos + dim
 
+    if pos == len(lines):
+        raise ParseError("missing 'nu:' block")
     lineno, line = lines[pos]
     if line != "nu:":
         raise ParseError(f"expected 'nu:', got {line!r}", lineno)

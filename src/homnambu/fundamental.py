@@ -9,17 +9,19 @@ where L(x).z = [x_1, ..., x_{n-1}, z] and a is the twist; the result is
 a Hom-Leibniz algebra (the bracket satisfies the twisted Leibniz
 identity but is generally not skew).  Everything is stored on the
 lexicographically ordered wedge basis; elements of the fundamental set
-are sparse coordinate dicts over wedge indices.
+are sparse coordinate dicts over wedge indices.  :func:`induced_algebra`
+builds the same bracket on tensor blocks for :mod:`homnambu.bridge`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra, bracket_eval_sparse
-from .indices import expand, sort_with_sign, sv_add, wedge_basis
+from .indices import exact_vec, expand, sort_with_sign, sv_add, wedge_basis
 
 ONE = Fraction(1)
 
@@ -48,7 +50,8 @@ class HomLeibnizAlgebra:
 
     ``basis`` lists the underlying index tuples (wedge or tensor);
     ``table[i][j]`` is the sparse value of [b_i, b_j]; ``twist_cols[i]``
-    the sparse image of b_i under the induced twist.  On tensor blocks,
+    the sparse image of b_i under the induced twist.  When the algebra
+    is induced from ``source`` (on wedge or tensor blocks),
     ``l_action[i][z]`` is the sparse L(b_i).e_z in the source algebra.
     """
 
@@ -99,47 +102,42 @@ def l_action(alg: HomNambuAlgebra, x_vectors, z):
     return tuple(out.get(i, Fraction(0)) for i in range(alg.dim))
 
 
-def fundamental_bracket_sparse(alg: HomNambuAlgebra, wedge, windex, x: dict, y: dict) -> dict:
-    """[x, y] on wedge coordinates, one L-insertion per slot of y."""
-    n = alg.arity
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
-    out = {}
-    for wj, ycoeff in y.items():
-        yt = wedge[wj]
-        for i in range(n - 1):
-            lz = l_action_sparse(alg, wedge, x, {yt[i]: ONE})
-            if not lz:
-                continue
-            factors = [alpha_cols[yt[k]] for k in range(i)]
-            factors.append(lz)
-            factors += [alpha_cols[yt[k]] for k in range(i + 1, n - 1)]
-            for k, v in wedge_of_vectors(windex, factors).items():
-                sv_add(out, k, ycoeff * v)
-    return out
+def induced_algebra(alg: HomNambuAlgebra, basis, coords) -> HomLeibnizAlgebra:
+    """The induced bracket, twist and L-action on blocks of n-1 indices.
+
+    ``basis`` lists the blocks (wedge or tensor tuples) and ``coords``
+    expands a product of n-1 sparse vectors into block coordinates.
+    [x, y] inserts L(x) into each slot of y and the twist into the
+    others; integral values are ints.
+    """
+    n, d = alg.arity, alg.dim
+    alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    l_action = [[exact_vec(alg.bracket_basis_sparse(t + (z,))) for z in range(d)] for t in basis]
+    table = []
+    for lx in l_action:
+        row = []
+        for yt in basis:
+            out = {}
+            for s in range(n - 1):
+                if lx[yt[s]]:
+                    factors = [alpha_cols[y] for y in yt]
+                    factors[s] = lx[yt[s]]
+                    for k, v in coords(factors).items():
+                        out[k] = out.get(k, 0) + v
+            row.append(exact_vec(out))
+        table.append(row)
+    twist_cols = [exact_vec(coords([alpha_cols[k] for k in t])) for t in basis]
+    return HomLeibnizAlgebra(
+        dim=len(basis), basis=basis, index={t: i for i, t in enumerate(basis)}, table=table,
+        twist_cols=twist_cols, source=alg, l_action=l_action,
+    )
 
 
 def build_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
-    """Structure constants of the induced bracket on all wedge pairs,
-    plus the componentwise twist."""
-    n, d = alg.arity, alg.dim
-    wedge = wedge_basis(d, n - 1)
+    """The induced bracket on the wedge basis of (n-1)-wedges."""
+    wedge = wedge_basis(alg.dim, alg.arity - 1)
     windex = {t: i for i, t in enumerate(wedge)}
-    dim = len(wedge)
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    table = []
-    for i in range(dim):
-        xi = {i: ONE}
-        row = [
-            fundamental_bracket_sparse(alg, wedge, windex, xi, {j: ONE})
-            for j in range(dim)
-        ]
-        table.append(row)
-    twist_cols = [
-        wedge_of_vectors(windex, [alpha_cols[k] for k in wedge[i]]) for i in range(dim)
-    ]
-    return HomLeibnizAlgebra(
-        dim=dim, basis=wedge, index=windex, table=table, twist_cols=twist_cols, source=alg
-    )
+    return induced_algebra(alg, wedge, partial(wedge_of_vectors, windex))
 
 
 def fundamental_of(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:

@@ -17,7 +17,8 @@ package can work over Q without changing any cohomology dimension.
 Every basis is read off the reduced row echelon form, which is unique,
 so outputs are canonical.  :func:`homology` turns a coboundary operator
 and its predecessor into cocycles, coboundaries and the quotient
-dimension for every complex in the package.
+dimension for every complex in the package; a complex on a subspace cut
+out by linear conditions passes those rows stacked under its operator.
 """
 
 from __future__ import annotations
@@ -321,32 +322,16 @@ def sparse_mat_vec(a: SparseMatrix, x) -> tuple:
     return tuple(out)
 
 
-def _inclusion(basis: SubspaceBasis) -> SparseMatrix:
-    """The basis vectors as the columns of a sparse matrix."""
-    m = SparseMatrix(basis.ambient_dim, basis.dim, {})
-    for j, v in enumerate(basis.vectors):
-        for i, x in enumerate(v):
-            m.add(i, j, x)
-    return m
-
-
 def restrict_columns(m: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
     """``m`` on span(basis): column j is ``m`` applied to basis vector j."""
-    return sparse_matmul(m, _inclusion(basis))
+    return sparse_matmul(m, basis.matrix().T)
 
 
-def homology(delta: SparseMatrix, prev: SparseMatrix, domain: SubspaceBasis | None = None):
+def homology(delta: SparseMatrix, prev: SparseMatrix):
     """``(Z, B, dim Z/B)`` with Z = ker ``delta`` and B = im ``prev``.
 
-    With a ``domain`` basis, Z is the kernel of ``delta`` restricted to
-    span(domain), each kernel vector mapped back to ambient coordinates.
     Raises :class:`NotASubspaceError` unless B lies inside Z.
     """
-    if domain is None:
-        z = kernel_basis(delta)
-    else:
-        inc = _inclusion(domain)
-        coords = kernel_basis(sparse_matmul(delta, inc))
-        z = SubspaceBasis(delta.cols, tuple(sparse_mat_vec(inc, c) for c in coords.vectors))
+    z = kernel_basis(delta)
     b = image_basis(prev)
     return z, b, quotient_dim(z, b)

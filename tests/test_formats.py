@@ -285,3 +285,20 @@ def test_junk_input_raises_only_parse_errors(case):
     if cochains:  # what was accepted is written back and read again unchanged
         again = loads_cochains(dumps_cochains(cochains), alg)
         assert [c.coeffs for c in again] == [c.coeffs for c in cochains]
+
+
+@pytest.mark.parametrize("name", sorted(FUZZ_SAMPLES))
+def test_truncated_input_raises_only_parse_errors(name):
+    # the fuzz test inserts and replaces tokens but never cuts a text short
+    text, load = FUZZ_SAMPLES[name]
+    alg = fixtures.filippov_n3()
+    for end in range(len(text) + 1):
+        try:
+            loads_cochains(text[:end], alg) if load == "cochains" else load(text[:end])
+        except ParseError:
+            pass
+
+
+def test_representation_rejects_arity_below_two():
+    with pytest.raises(ParseError, match="arity >= 2"):
+        loads_representation("arity = 1\ndim = 2\nnu:\n1 0\n0 1\n")

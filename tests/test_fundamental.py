@@ -9,7 +9,7 @@ from homnambu.fundamental import (
     build_fundamental,
     check_hom_leibniz,
     check_l_compatibility,
-    fundamental_bracket_sparse,
+    fundamental_of,
     l_action,
     l_action_sparse,
     wedge_of_indices,
@@ -50,17 +50,16 @@ def test_l_action_repeated_factor():
 
 def test_fundamental_bracket_zero_right():
     alg = fixtures.filippov_n3()
-    wedge, windex = _setup(alg)
-    assert fundamental_bracket_sparse(alg, wedge, windex, {0: ONE}, {}) == {}
+    assert fundamental_of(alg).bracket_sparse({0: ONE}, {}) == {}
 
 
 def test_fundamental_bracket_term_expansion():
     # [e1^e2, e3^e4] = [e1,e2,e3]^e4 + e3^[e1,e2,e4], expanded by hand
     alg = fixtures.filippov_n3()
-    wedge, windex = _setup(alg)
+    _, windex = _setup(alg)
     x = wedge_of_indices(windex, (0, 1))
     y = wedge_of_indices(windex, (2, 3))
-    got = fundamental_bracket_sparse(alg, wedge, windex, x, y)
+    got = fundamental_of(alg).bracket_sparse(x, y)
     b123 = {i: v for i, v in enumerate(alg.bracket_basis((0, 1, 2))) if v}
     b124 = {i: v for i, v in enumerate(alg.bracket_basis((0, 1, 3))) if v}
     expected = {}
@@ -74,9 +73,9 @@ def test_fundamental_bracket_term_expansion():
 
 def test_fundamental_bracket_skew_left_factor():
     alg = fixtures.filippov_n3()
-    wedge, windex = _setup(alg)
+    _, windex = _setup(alg)
     y = wedge_of_indices(windex, (0, 2))
-    assert fundamental_bracket_sparse(alg, wedge, windex, {}, y) == {}
+    assert fundamental_of(alg).bracket_sparse({}, y) == {}
 
 
 def test_build_fundamental_zero_bracket():

@@ -1,0 +1,70 @@
+"""The names the benchmark harness in ``layerbench/`` uses from the package.
+
+The harness wraps public functions by name to trace them and drives the
+CLI to make its inputs.  A renamed or deleted function would break only
+traced runs or input generation, so these tests run both on small
+inputs.
+"""
+
+import contextlib
+import importlib.util
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import homnambu.cli as cli
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load_layerbench(name):
+    """A module of ``layerbench/`` (not a package) imported from this checkout."""
+    path = ROOT / "layerbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"layerbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_finds_every_target():
+    tracer = load_layerbench("tracing").Tracer()
+    try:
+        tracer.install()  # raises when a TARGETS name is gone
+    finally:
+        tracer.uninstall()
+
+
+@pytest.mark.parametrize("workload", ["scalar-complex", "adjoint-complex", "pointwise-checks"])
+def test_workload_inputs_are_generated(workload, tmp_path):
+    workloads = load_layerbench("workloads")
+    inputs = workloads.prepare(workload, 1, ROOT / "fixtures", tmp_path)
+    assert inputs.jobs
+    assert all(Path(path).is_file() for path in inputs.algebra_files)
+
+
+def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # cohomology writes its cocycle basis here
+    tracer = load_layerbench("tracing").Tracer()
+    fixture = str(ROOT / "fixtures" / "sl2.alg")
+    tracer.install()
+    try:
+        for argv in (
+            ["cohomology", fixture, "-p", "2", "--coefficients", "adjoint"],
+            ["bridge-check", fixture, "-p", "1"],
+        ):
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["--json", *argv]) == 0
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.take()}
+    for name in (
+        "fundamental.build",
+        "adjoint_cohomology.assemble",
+        "adjoint_cohomology.equivariance",
+        "backends.echelon",
+        "bridge.tensor_fundamental",
+    ):
+        assert name in names

@@ -19,6 +19,7 @@ from homnambu.linalg import (
     matmul,
     quotient_dim,
     rank,
+    restrict_columns,
     rref,
     solve,
     sparse_mat_vec,
@@ -157,21 +158,25 @@ def test_sparse_matmul_matches_dense():
     assert prod == matmul(a, b)
 
 
-@pytest.mark.parametrize("name", ["twisted_filippov_rotation", "volume_form_d3_twisted"])
+@pytest.mark.parametrize(
+    "name", ["twisted_filippov_rotation", "twisted_filippov_reflection", "volume_form_d3_twisted"]
+)
 @pytest.mark.parametrize("p", [1, 2])
-def test_homology_on_domain_is_kernel_of_stacked_equivariance(name, p):
+def test_equivariant_cocycles_equal_kernel_on_equivariant_basis(name, p):
+    # the kernel of delta restricted to the equivariant basis, mapped back
+    # to ambient coordinates, is the stacked kernel the report reads
     alg = getattr(fixtures, name)()
     delta = adjoint_cohomology.coboundary_matrix(alg, p, "fused", "split")
     equi = adjoint_cohomology.equivariant_basis(alg, p)
-    z, b, dim_h = homology(delta, SparseMatrix(delta.cols, 0, {}), equi)
-    eq = adjoint_cohomology.equivariance_matrix(alg, p)
-    stacked = dict(delta.entries)
-    stacked.update({(r + delta.rows, c): v for (r, c), v in eq.entries.items()})
-    ref = kernel_basis(SparseMatrix(delta.rows + eq.rows, delta.cols, stacked))
-    assert z.ambient_dim == ref.ambient_dim == delta.cols
-    assert z.dim == ref.dim == dim_h > 0
-    assert rank((*z.vectors, *ref.vectors)) == ref.dim
-    assert b.dim == 0
+    inclusion = equi.matrix().T
+    coords = kernel_basis(restrict_columns(delta, equi))
+    ref = tuple(sparse_mat_vec(inclusion, c) for c in coords.vectors)
+    report = adjoint_cohomology.cohomology(alg, p)
+    assert report.cocycle_basis.vectors == ref
+    assert report.cocycle_basis.ambient_dim == delta.cols
+    assert report.dim_equivariant == equi.dim
+    if name != "volume_form_d3_twisted":
+        assert (equi.dim, delta.cols) == ((8, 16), (48, 96))[p - 1]
 
 
 def test_homology_rejects_boundaries_outside_cycles():

@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from homnambu import adjoint_cohomology, cochains, fixtures, linalg, scalar_cohomology
+from homnambu.bridge import tensor_fundamental_of
 from homnambu.cochains import CochainSpace
+from homnambu.fundamental import fundamental_of
 from homnambu.algebra import HomNambuAlgebra, is_valid
 from homnambu.derivations import (
     RepresentationMap,
@@ -36,11 +38,12 @@ def dims(alg, rep, p, restrict):
     when ``restrict``."""
     delta = operator(alg, rep, p, "fused", "split")
     prev = operator(alg, rep, p - 1)
-    domain = None
     if restrict:
-        domain = compatible(alg, rep, p)
+        equi = cochains.equivariance_matrix(alg, rep, p)
+        rows = {(delta.rows + r, c): v for (r, c), v in equi.entries.items()}
+        delta = linalg.SparseMatrix(delta.rows + equi.rows, delta.cols, {**delta.entries, **rows})
         prev = linalg.restrict_columns(prev, compatible(alg, rep, p - 1))
-    z, b, dim_h = linalg.homology(delta, prev, domain)
+    z, b, dim_h = linalg.homology(delta, prev)
     return z.dim, b.dim, dim_h
 
 
@@ -213,3 +216,24 @@ def test_operators_stay_exact_with_rational_structure_constants():
         for module in (scalar_cohomology, adjoint_cohomology):
             got, want = module.cohomology(alg, p), module.cohomology(base, p)
             assert (got.dim_z, got.dim_b, got.dim_h) == (want.dim_z, want.dim_b, want.dim_h)
+
+
+def induced_values(leib):
+    """Every value of the bracket, twist and L-action tables."""
+    cells = [cell for row in leib.table for cell in row] + leib.twist_cols
+    cells += [cell for row in leib.l_action for cell in row]
+    return [v for cell in cells for v in cell.values()]
+
+
+def test_induced_tables_stay_integral():
+    # Fraction(3) == 3, so only the types show a return to Fraction
+    for alg in (fixtures.twisted_filippov_rotation(), fixtures.solvable_d4()):
+        for leib in (fundamental_of(alg), tensor_fundamental_of(alg)):
+            values = induced_values(leib)
+            assert values and all(type(v) is int for v in values)
+    # rational structure constants: non-integral values are kept, integral ones are ints
+    alg = halved_e1(fixtures.volume_form_d3_twisted())
+    for leib in (fundamental_of(alg), tensor_fundamental_of(alg)):
+        values = induced_values(leib)
+        assert any(type(v) is Fraction for v in values)
+        assert all(type(v) is int or v.denominator > 1 for v in values)
