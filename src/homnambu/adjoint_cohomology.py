@@ -12,12 +12,14 @@ Degree 0 is the derivation-defect extension
 
     (d psi)(x_1, ..., x_n) = sum_i [x_1, ..., psi(x_i), ..., x_n] - psi([x_1, ..., x_n])
 
-restricted to equivariant matrices psi.  It is exactly the degree-0
-case of the general formula, and its image consists of cocycles: for
-equivariant psi, conjugating the bracket by id + t psi changes neither
-the twist (to first order) nor the validity of the fundamental
-identity, so the defect is precisely the tangent direction of a change
-of basis; reports expose the choice by also stating the
+restricted to equivariant matrices psi.  It is the p = 0 case of the
+general operator, on the degree-0 space whose key ``(z,)`` holds column
+z of psi; :func:`zero_coboundary_matrix` renumbers its columns to the
+row-major layout of :mod:`homnambu.derivations`.  Its image consists of
+cocycles: for equivariant psi, conjugating the bracket by id + t psi
+changes neither the twist (to first order) nor the validity of the
+fundamental identity, so the defect is precisely the tangent direction
+of a change of basis; reports expose the choice by also stating the
 no-degree-zero-boundaries count.
 """
 
@@ -84,7 +86,7 @@ def equivariance_violations(alg: HomNambuAlgebra, psi: Cochain):
 def coboundary_matrix(
     alg: HomNambuAlgebra, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
-    """Sparse matrix of the four-term degree-p coboundary, p >= 1."""
+    """Sparse matrix of the four-term degree-p coboundary, p >= 0."""
     return cochains.coboundary_matrix(alg, adjoint_representation(alg), p, mode, out_mode)
 
 
@@ -109,8 +111,12 @@ def coboundary_preserves_fusion(alg: HomNambuAlgebra, p: int) -> bool:
 
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.SparseMatrix:
-    """Matrix of psi (d x d, row-major) -> derivation defect of psi."""
-    return cochains.zero_coboundary_matrix(alg, adjoint_representation(alg), mode)
+    """Matrix of psi (d x d, row-major) -> derivation defect of psi: the
+    degree-0 operator with psi[r, c] moved from column c*d + r to r*d + c."""
+    d = alg.dim
+    m = coboundary_matrix(alg, 0, "split", mode)
+    entries = {(row, (col % d) * d + col // d): v for (row, col), v in m.entries.items()}
+    return linalg.SparseMatrix(m.rows, m.cols, entries)
 
 
 def equivariant_matrix_space(alg: HomNambuAlgebra) -> linalg.SubspaceBasis:
@@ -122,9 +128,10 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointRepo
     """Report inside the equivariant subspace.
 
     Cocycles are the kernel of the operator evaluated pointwise (split
-    rows) stacked on the equivariance rows; degree-1 coboundaries use
-    the derivation-defect convention, and the report also carries the
-    value without them.
+    rows) stacked on the equivariance rows; coboundaries are the image
+    of the degree p - 1 operator on equivariant cochains, so degree-1
+    coboundaries are derivation defects, and the report also carries
+    the value without them.
     """
     if p < 1:
         raise ValueError("adjoint reports start at degree 1")
@@ -132,11 +139,10 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointRepo
     delta = coboundary_matrix(alg, p, mode, "split")
     stacked = linalg.SparseMatrix(delta.rows + equi.rows, delta.cols, dict(delta.entries))
     stacked.entries.update(((delta.rows + r, c), v) for (r, c), v in equi.entries.items())
-    if p == 1:
-        prev, inside = zero_coboundary_matrix(alg, mode), equivariant_matrix_space(alg)
-    else:
-        prev, inside = coboundary_matrix(alg, p - 1, mode), equivariant_basis(alg, p - 1, mode)
-    z, b, dim_h = linalg.homology(stacked, linalg.restrict_columns(prev, inside))
+    prev = coboundary_matrix(alg, p - 1, mode)
+    z, b, dim_h = linalg.homology(
+        stacked, linalg.restrict_columns(prev, equivariant_basis(alg, p - 1, mode))
+    )
     return AdjointReport(
         degree=p,
         dim_c=delta.cols,

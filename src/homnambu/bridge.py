@@ -246,22 +246,18 @@ def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseM
 @dataclass(eq=False)
 class BridgeCochain:
     """Map on p tensor blocks plus one algebra argument, algebra-valued.
-    Degree 0 is a linear endomorphism stored as a d x d matrix."""
+    Degree 0 is a linear endomorphism, column z stored at key ``(z,)``."""
 
     alg: HomNambuAlgebra
     leib: HomLeibnizAlgebra
     degree: int
-    coeffs: dict  # degree 0: matrix; else {(blocks..., z): sparse vector}
+    coeffs: dict  # {(blocks..., z): sparse vector}
 
     @classmethod
     def zero(cls, alg, leib, degree):
-        if degree == 0:
-            return cls(alg, leib, 0, linalg.zeros(alg.dim, alg.dim))
         return cls(alg, leib, degree, {})
 
     def evaluate(self, blocks, z) -> dict:
-        if self.degree == 0:
-            raise ValueError("degree-0 cochains evaluate on one vector")
         if len(blocks) != self.degree:
             raise ValueError("block count mismatch")
         out = {}
@@ -273,10 +269,8 @@ class BridgeCochain:
 
     def stored_values(self) -> dict:
         """Stored values keyed ``(blocks..., z)`` with integral entries as
-        ints; degree 0 gives matrix column z at key ``(z,)``."""
-        if self.degree:
-            return _exact_values(self.coeffs)
-        return _exact_values({(c,): self.coeffs.column(c) for c in range(self.alg.dim)})
+        ints."""
+        return _exact_values(self.coeffs)
 
 
 def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
@@ -415,11 +409,6 @@ def bridge_equivariance_violations(phi: BridgeCochain):
     d = alg.dim
     alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
     bad = []
-    if phi.degree == 0:
-        comm = linalg.matmul(phi.coeffs, alg.twist) - linalg.matmul(alg.twist, phi.coeffs)
-        if not linalg.is_zero_matrix(comm):
-            bad.append(())
-        return bad
     for args in itertools.product(range(leib.dim), repeat=phi.degree):
         for z in range(d):
             lhs = {}
@@ -436,10 +425,15 @@ def bridge_equivariance_violations(phi: BridgeCochain):
 
 
 def random_bridge_cochain(alg: HomNambuAlgebra, leib: HomLeibnizAlgebra, p: int, rng, span=2):
-    """Random integer-coefficient cochain (no symmetry constraints)."""
+    """Random integer-coefficient cochain (no symmetry constraints);
+    degree 0 draws a d x d matrix row by row."""
     if p == 0:
-        m = linalg.mat([[rng.randint(-span, span) for _ in range(alg.dim)] for _ in range(alg.dim)])
-        return BridgeCochain(alg, leib, 0, m)
+        cols = {}
+        for r, z in itertools.product(range(alg.dim), repeat=2):
+            v = rng.randint(-span, span)
+            if v:
+                cols.setdefault((z,), {})[r] = Fraction(v)
+        return BridgeCochain(alg, leib, 0, cols)
     out = {}
     for args in itertools.product(range(leib.dim), repeat=p):
         for z in range(alg.dim):

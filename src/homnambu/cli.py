@@ -19,8 +19,9 @@ from pathlib import Path
 
 from . import adjoint_cohomology, algebra, bridge, derivations, formats
 from . import fundamental as fundamental_mod
-from . import linalg, scalar_cohomology
+from . import scalar_cohomology
 from .cochains import Cochain, CochainSpace
+from .indices import sv_add
 
 OK, PARSE_ERROR, CHECK_FAILED, PRECONDITION = 0, 2, 3, 4
 
@@ -300,15 +301,14 @@ def bridge_input_cochain(alg, leib, degree: int, seed: int) -> bridge.BridgeCoch
     degree 0, of the equivariant basis pulled back to tensor blocks
     above."""
     rng = random.Random(seed)
-    if degree == 0:
-        basis = adjoint_cohomology.equivariant_matrix_space(alg)
-        m = linalg.zeros(alg.dim, alg.dim)
-        for v in basis.vectors:
+    if degree == 0:  # psi[r, c] at r*d + c goes to column c
+        cols = {}
+        for v in adjoint_cohomology.equivariant_matrix_space(alg).vectors:
             c = Fraction(rng.randint(-3, 3))
             if c:
                 for i, x in enumerate(v):
-                    m.add(i // alg.dim, i % alg.dim, c * x)
-        return bridge.BridgeCochain(alg, leib, 0, m)
+                    sv_add(cols.setdefault((i % alg.dim,), {}), i // alg.dim, c * x)
+        return bridge.BridgeCochain(alg, leib, 0, cols)
     psi = adjoint_cohomology.random_equivariant_cochain(alg, degree, rng)
     return bridge.pullback_wedge_cochain(alg, leib, psi)
 

@@ -32,9 +32,13 @@ y = x_{p+1} = y^1 ^ ... ^ y^(n-1))::
     d4 = (-1)^p sum_s (-1)^(n-s) rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) psi(x_1, ..., x_p, y^s)
 
 d1 and d2 act on every value component alike; with rho = 0 they are the
-whole coboundary.  At degree 0, psi: L -> V and
+whole coboundary.  Degree 0 is the case p = 0: a cochain is a map
+psi: L -> V with keys ``(z,)`` (one layout, so its mode is ``split``),
+there are no bracket pairs, a^0 = id, and the four terms reduce to
 
     (d psi)(x_1, ..., x_n) = sum_i (-1)^(n-i) rho(x_1, ..., ^x_i, ..., x_n) psi(x_i) - psi([x])
+
+(d2 is -psi([x]), d3 the term i = n and d4 the others).
 
 Compatible cochains satisfy nu o psi = psi o a.  The trivial
 representation (V = Q, rho = 0, nu = 1) gives the scalar complex,
@@ -65,11 +69,12 @@ class CochainError(ValueError):
 
 
 class CochainSpace:
-    """Coordinate system for degree-p cochains of one algebra."""
+    """Coordinate system for degree-p cochains of one algebra; degree 0
+    is Hom(L, V), whose one layout is the split one."""
 
     def __init__(self, alg: HomNambuAlgebra, degree: int, kind: str, mode: str = "fused"):
-        if degree < 1:
-            raise CochainError("CochainSpace needs degree >= 1")
+        if degree < 0:
+            raise CochainError("CochainSpace needs degree >= 0")
         if kind not in ("scalar", "adjoint"):
             raise CochainError(f"unknown kind {kind!r}")
         if mode not in MODES:
@@ -77,7 +82,7 @@ class CochainSpace:
         self.alg = alg
         self.degree = degree
         self.kind = kind
-        self.mode = mode
+        self.mode = mode if degree else "split"
         d, n = alg.dim, alg.arity
         self.wedge = wedge_basis(d, n - 1)
         self.windex = {t: i for i, t in enumerate(self.wedge)}
@@ -88,7 +93,7 @@ class CochainSpace:
         self.fuse = [[(self.nindex.get(m), sign) for m, sign in row] for row in fused]
         self.value_dim = d if kind == "adjoint" else 1
         w = len(self.wedge)
-        nkeys = w ** (degree - 1) * len(self.nforms) if mode == "fused" else w ** degree * d
+        nkeys = w ** (degree - 1) * len(self.nforms) if self.mode == "fused" else w ** degree * d
         self.dim = nkeys * self.value_dim
 
     @cached_property
@@ -161,18 +166,14 @@ class Cochain:
         flat = list(flat)
         if len(flat) != space.dim:
             raise CochainError("flat vector length mismatch")
-        coeffs = {}
+        keys, dv = space.keys, space.value_dim
         if space.kind == "scalar":
-            for i, key in enumerate(space.keys):
-                if flat[i]:
-                    coeffs[key] = Fraction(flat[i])
-        else:
-            d = space.value_dim
-            for i, key in enumerate(space.keys):
-                vecv = tuple(Fraction(v) for v in flat[i * d:(i + 1) * d])
-                if any(vecv):
-                    coeffs[key] = vecv
-        return cls(space, coeffs)
+            return cls(space, {keys[i]: Fraction(v) for i, v in enumerate(flat) if v})
+        values = {}  # entry i is component i % dv of key number i // dv
+        for i, v in enumerate(flat):
+            if v:
+                values.setdefault(keys[i // dv], [ZERO] * dv)[i % dv] = Fraction(v)
+        return cls(space, {key: tuple(vecv) for key, vecv in values.items()})
 
     def to_flat(self) -> tuple:
         out = [ZERO] * self.space.dim
@@ -277,7 +278,7 @@ def coboundary_matrix(
     alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
     """Sparse matrix of the degree-p coboundary with values in ``rep``,
-    p >= 1: the four terms of the module docstring.
+    p >= 0: the four terms of the module docstring.
 
     Every table (twist columns, the fundamental bracket and twist, the
     L-action and the rho weights) is built once with integral values as
@@ -341,34 +342,9 @@ def coboundary_matrix(
     return linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, entries)
 
 
-def zero_coboundary_matrix(alg: HomNambuAlgebra, rep, mode: str = "fused") -> linalg.SparseMatrix:
-    """Matrix of psi in Hom(L, V) (psi[r, c] at r*d + c) -> d psi."""
-    space = CochainSpace(alg, 1, "scalar", mode)
-    d, n, dv = alg.dim, alg.arity, rep.dim
-    rho_cols = _rho_columns(rep)
-    entries = {}
-    for k, key in enumerate(space.keys):
-        blocks, z = space.decode_args(key)
-        args = space.wedge[blocks[0]] + (z,)
-        block = {}
-        for i in range(n):
-            rest = [{t: 1} for t in args[:i] + args[i + 1:]]
-            weights = _rho_weights(rho_cols, rest, dv) if rho_cols else None
-            sign = (-1) ** (n - 1 - i)  # (-1)^(n-i) with 1-based i
-            for c, column in enumerate(weights or ()):
-                for r, v in column.items():
-                    col = c * d + args[i]
-                    block[r, col] = block.get((r, col), 0) + sign * v
-        for c, v in exact_vec(alg.bracket_basis_sparse(args)).items():
-            for r in range(dv):
-                block[r, r * d + c] = block.get((r, r * d + c), 0) - v
-        entries.update(((k * dv + r, c), v) for (r, c), v in block.items() if v)
-    return linalg.SparseMatrix(space.dim * dv, dv * d, entries)
-
-
 def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> linalg.SparseMatrix:
-    """Rows nu . psi(args) - psi(a args) over canonical tuples; the
-    compatible cochains are its kernel."""
+    """Rows nu . psi(args) - psi(a args) over canonical tuples, p >= 0;
+    the compatible cochains are its kernel."""
     space = CochainSpace(alg, p, "scalar", mode)
     fund = fundamental_of(alg)
     dv = rep.dim

@@ -219,14 +219,13 @@ class SubspaceBasis:
 
 
 def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
-    """dim(z) - dim(b), after checking span(b) is inside span(z)."""
+    """dim(z) - dim(b), after checking span(b) is inside span(z); both
+    bases hold independent vectors, so only the stacked rank is taken."""
     if z.ambient_dim != b.ambient_dim:
         raise NotASubspaceError("ambient dimensions differ")
-    dim_z = rank(z.vectors) if z.vectors else 0
-    dim_b = rank(b.vectors) if b.vectors else 0
-    if b.vectors and rank((*z.vectors, *b.vectors)) != dim_z:
+    if b.vectors and rank((*z.vectors, *b.vectors)) != z.dim:
         raise NotASubspaceError("not a subspace")
-    return dim_z - dim_b
+    return z.dim - b.dim
 
 
 # ---------------------------------------------------------------------------

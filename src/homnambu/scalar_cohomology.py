@@ -4,8 +4,8 @@ The scalar complex is the complex of :mod:`homnambu.cochains` with
 values in the trivial representation (V = Q, rho = 0, nu = 1), where
 only the bracket-insertion and L(x_i).z terms survive; it is computed
 on all cochains, with no compatibility condition.  Degree 0 cochains are
-covectors with (d phi) = -phi([...]), which is exactly the potential
-equation used in the Filippov example.
+covectors, and the p = 0 case of the operator is (d phi) = -phi([...]),
+which is exactly the potential equation used in the Filippov example.
 
 Operators are assembled as sparse matrices whose rows are canonical
 output tuples, so d(p+1) o d(p) = 0 is an exact matrix statement.
@@ -44,8 +44,9 @@ class CohomologyReport:
 
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.SparseMatrix:
-    """Matrix of covector -> degree-1 cochain, phi -> -phi o bracket."""
-    return cochains.zero_coboundary_matrix(alg, trivial_representation(alg), mode)
+    """Matrix of covector -> degree-1 cochain, phi -> -phi o bracket: the
+    degree-0 operator, whose column z is the covector's coordinate z."""
+    return coboundary_matrix(alg, 0, "split", mode)
 
 
 def apply_zero_coboundary(alg: HomNambuAlgebra, covector, mode: str = "fused") -> Cochain:
@@ -57,7 +58,7 @@ def apply_zero_coboundary(alg: HomNambuAlgebra, covector, mode: str = "fused") -
 def coboundary_matrix(
     alg: HomNambuAlgebra, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
-    """Sparse matrix of the degree-p coboundary, p >= 1."""
+    """Sparse matrix of the degree-p coboundary, p >= 0."""
     return cochains.coboundary_matrix(alg, trivial_representation(alg), p, mode, out_mode)
 
 
@@ -89,12 +90,8 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> CohomologyR
     """
     if p < 0:
         raise ValueError("degree must be >= 0")
-    if p == 0:
-        delta = zero_coboundary_matrix(alg, mode)
-        prev = linalg.SparseMatrix(alg.dim, 0, {})
-    else:
-        delta = coboundary_matrix(alg, p, mode, "split")
-        prev = zero_coboundary_matrix(alg, mode) if p == 1 else coboundary_matrix(alg, p - 1, mode)
+    delta = coboundary_matrix(alg, p, mode, "split")
+    prev = coboundary_matrix(alg, p - 1, mode) if p else linalg.SparseMatrix(alg.dim, 0, {})
     z, b, dim_h = linalg.homology(delta, prev)
     return CohomologyReport(p, delta.cols, z.dim, b.dim, dim_h, z, b, mode)
 

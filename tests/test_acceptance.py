@@ -33,7 +33,7 @@ from homnambu.bridge import (
 )
 from homnambu.cochains import Cochain, CochainSpace
 from homnambu.fundamental import build_fundamental, check_hom_leibniz, check_l_compatibility
-from homnambu.indices import wedge_basis
+from homnambu.indices import sv_add, wedge_basis
 
 ONE = Fraction(1)
 
@@ -212,13 +212,13 @@ def test_criterion_09_commuting_square():
     for alg in (fixtures.twisted_filippov_rotation(), fixtures.volume_form_d3_twisted()):
         leib = tensor_fundamental_of(alg)
         basis = ac.equivariant_matrix_space(alg)
-        m = linalg.zeros(alg.dim, alg.dim)
+        cols = {}  # row-major entry r*d + c goes to row r of column (c,)
         for v in basis.vectors:
             c = Fraction(rng.randint(-3, 3))
             if c:
                 for i, x in enumerate(v):
-                    m.add(i // alg.dim, i % alg.dim, c * x)
-        phi0 = BridgeCochain(alg, leib, 0, m)
+                    sv_add(cols.setdefault((i % alg.dim,), {}), i // alg.dim, c * x)
+        phi0 = BridgeCochain(alg, leib, 0, cols)
         assert bridge_equivariance_violations(phi0) == []
         holds, _ = check_commuting_square(phi0)
         assert holds

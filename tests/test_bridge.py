@@ -29,19 +29,22 @@ from homnambu.bridge import (
     wedge_projection,
 )
 from homnambu.fundamental import check_hom_leibniz, fundamental_of
+from homnambu.indices import sv_add
 
 ONE = Fraction(1)
 
 
 def equivariant_matrix_cochain(alg, leib, rng):
+    """Degree-0 cochain: a random combination of the twist's commutant,
+    whose row-major entry r*d + c goes to row r of the column at key (c,)."""
     basis = equivariant_matrix_space(alg)
-    m = linalg.zeros(alg.dim, alg.dim)
+    cols = {}
     for v in basis.vectors:
         c = Fraction(rng.randint(-2, 2))
         if c:
             for i, x in enumerate(v):
-                m.add(i // alg.dim, i % alg.dim, c * x)
-    return BridgeCochain(alg, leib, 0, m)
+                sv_add(cols.setdefault((i % alg.dim,), {}), i // alg.dim, c * x)
+    return BridgeCochain(alg, leib, 0, cols)
 
 
 def test_tensor_fundamental_ternary_display():
@@ -153,7 +156,7 @@ def test_leibniz_d_squared_zero_pointwise_filippov():
 def test_delta_lift_identity_degree0():
     alg = fixtures.filippov_n3()
     leib = tensor_fundamental_of(alg)
-    phi = BridgeCochain(alg, leib, 0, linalg.eye(4))
+    phi = BridgeCochain(alg, leib, 0, {(z,): {z: ONE} for z in range(4)})
     lifted = delta_lift(phi)
     for a in range(leib.dim):
         assert lifted.coeffs[(a,)] == {a: Fraction(2)}
@@ -255,12 +258,14 @@ def test_random_cochain_not_equivariant_on_twisted():
     rng = random.Random(43)
     phi = random_bridge_cochain(alg, leib, 1, rng)
     assert bridge_equivariance_violations(phi)
+    # degree 0 runs the same loop, over the keys (z,)
+    phi0 = random_bridge_cochain(alg, leib, 0, rng)
+    bad = bridge_equivariance_violations(phi0)
+    assert bad and all(len(key) == 1 and key[0] in range(alg.dim) for key in bad)
 
 
 def scaled(phi, c):
     """The bridge cochain c * phi."""
-    if phi.degree == 0:
-        return BridgeCochain(phi.alg, phi.leib, 0, phi.coeffs * c)
     coeffs = {k: {r: c * v for r, v in vec.items()} for k, vec in phi.coeffs.items()}
     return BridgeCochain(phi.alg, phi.leib, phi.degree, coeffs)
 

@@ -68,3 +68,24 @@ def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
         "bridge.tensor_fundamental",
     ):
         assert name in names
+
+
+def test_degree_one_reports_trace_two_assemblies(tmp_path, monkeypatch):
+    # the operator and its predecessor are both built through the traced
+    # module wrappers, so assembly time and operator nnz are counted for both
+    monkeypatch.chdir(tmp_path)
+    tracer = load_layerbench("tracing").Tracer()
+    fixture = str(ROOT / "fixtures" / "sl2.alg")
+    tracer.install()
+    try:
+        for coefficients in ("trivial", "adjoint"):
+            argv = ["cohomology", fixture, "-p", "1", "--coefficients", coefficients]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(["--json", *argv]) == 0
+    finally:
+        tracer.uninstall()
+    spans = tracer.take()
+    for name in ("scalar_cohomology.assemble", "adjoint_cohomology.assemble"):
+        assembled = [span for span in spans if span[0] == name]
+        assert len(assembled) == 2, name
+        assert all("nnz" in span[5] for span in assembled), name

@@ -2,6 +2,7 @@
 representation of sl2, the trivial representation on Q^2 and the
 adjoint representation moved by a change of basis."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -12,7 +13,8 @@ from homnambu import adjoint_cohomology, cochains, fixtures, linalg, scalar_coho
 from homnambu.bridge import tensor_fundamental_of
 from homnambu.cochains import CochainSpace
 from homnambu.fundamental import fundamental_of
-from homnambu.algebra import HomNambuAlgebra, is_valid
+from homnambu.indices import sv_add
+from homnambu.algebra import HomNambuAlgebra, bracket_eval_sparse, is_valid
 from homnambu.derivations import (
     RepresentationMap,
     adjoint_representation,
@@ -24,8 +26,6 @@ from homnambu.derivations import (
 
 def operator(alg, rep, p, mode="fused", out_mode=None):
     """d: C^p -> C^(p+1) with values in rep, degree 0 included."""
-    if p == 0:
-        return cochains.zero_coboundary_matrix(alg, rep, mode)
     return cochains.coboundary_matrix(alg, rep, p, mode, out_mode)
 
 
@@ -216,6 +216,77 @@ def test_operators_stay_exact_with_rational_structure_constants():
         for module in (scalar_cohomology, adjoint_cohomology):
             got, want = module.cohomology(alg, p), module.cohomology(base, p)
             assert (got.dim_z, got.dim_b, got.dim_h) == (want.dim_z, want.dim_b, want.dim_h)
+
+
+def zero_reference(alg, rep, mode):
+    """Degree-0 operator from the pointwise formula, one unit psi at a time:
+    (d psi)(x_1, ..., x_n) = sum_i (-1)^(n-i) rho(x_1, ..., ^x_i, ..., x_n) psi(x_i) - psi([x]).
+
+    Returns ``{(r, c): column}`` for the psi with psi(e_c) = e_r, each
+    column a sparse dict over the rows of the degree-1 space in ``mode``.
+    """
+    d, n, dv = alg.dim, alg.arity, rep.dim
+    space = CochainSpace(alg, 1, "scalar", mode)
+    columns = {}
+    for r, c in itertools.product(range(dv), range(d)):
+        column = {}
+        for k, key in enumerate(space.keys):
+            (block,), z = space.decode_args(key)
+            args = space.wedge[block] + (z,)
+            value = {}
+            for i in range(n):
+                if args[i] == c:
+                    rho = rep.rho_basis(args[:i] + args[i + 1:])
+                    for s in range(dv):
+                        sv_add(value, s, (-1) ** (n - 1 - i) * rho[s, r])
+            unit_args = [{t: 1} for t in args]
+            sv_add(value, r, -bracket_eval_sparse(alg, unit_args).get(c, 0))
+            column.update({k * dv + s: v for s, v in value.items()})
+        columns[r, c] = column
+    return columns
+
+
+def as_matrix(columns, rows, position):
+    """The matrix with ``columns[r, c]`` in column ``position(r, c)``."""
+    entries = {(row, position(r, c)): v for (r, c), col in columns.items() for row, v in col.items()}
+    return linalg.SparseMatrix(rows, len(columns), entries)
+
+
+ZERO_FIXTURES = {
+    "filippov_n3_twisted": fixtures.twisted_filippov_rotation,
+    "solvable_d4": fixtures.solvable_d4,
+    "sl2": fixtures.sl2,
+    "volume_d3_twisted_rescaled": lambda: halved_e1(fixtures.volume_form_d3_twisted()),
+}
+
+
+@pytest.mark.parametrize("mode", ["fused", "split"])
+@pytest.mark.parametrize("name", sorted(ZERO_FIXTURES))
+def test_degree_zero_operator_matches_pointwise_formula(name, mode):
+    alg = ZERO_FIXTURES[name]()
+    d = alg.dim
+    rows = CochainSpace(alg, 1, "scalar", mode).dim
+    scalar = zero_reference(alg, trivial_representation(alg), mode)
+    assert scalar_cohomology.zero_coboundary_matrix(alg, mode) == as_matrix(
+        scalar, rows, lambda r, c: c
+    )
+    adjoint = zero_reference(alg, adjoint_representation(alg), mode)
+    assert any(adjoint.values())
+    assert adjoint_cohomology.zero_coboundary_matrix(alg, mode) == as_matrix(
+        adjoint, rows * d, lambda r, c: r * d + c
+    )
+    assert operator(alg, adjoint_representation(alg), 0, mode) == as_matrix(
+        adjoint, rows * d, lambda r, c: c * d + r
+    )
+    if name == "sl2":
+        rep = sl2_standard()
+        standard = zero_reference(alg, rep, mode)
+        assert operator(alg, rep, 0, mode) == as_matrix(
+            standard, rows * rep.dim, lambda r, c: c * rep.dim + r
+        )
+    space = CochainSpace(alg, 0, "adjoint", mode)
+    assert space.keys == [(z,) for z in range(d)]
+    assert (space.mode, space.dim) == ("split", d * d)
 
 
 def induced_values(leib):
