@@ -26,12 +26,20 @@ part of the cochain definition the four-term operator comes from, and
 dropping it breaks the square for non-trivial twists), which transports
 d o d = 0 into the four-term complex.
 
-The four kernels (both coboundaries and both lifts) are matrix-free:
-each output key gets a term list of ``(key, weight)`` pairs and
-``(key, weight, op)`` triples, each one lookup of phi's stored value at a
-basis tuple, scaled or pushed through a linear map ``op = {m: vector}``.
-Integral values (tensor table, twist and L-action columns, phi's values)
-are Python ints; other rationals stay ``Fraction``, so results are exact.
+The four kernels (both coboundaries and both lifts) are matrix-free and
+share the term lists of :mod:`homnambu.cochains`: each output key gets
+``(pairs, sign)`` scalar terms, ``pairs`` being ``(key, weight)``, and
+``(key, weight, op)`` map terms; each weight is one lookup of phi's
+stored value at a basis tuple, scaled or pushed through a linear map
+``op = {m: vector}``, and :func:`cochains.evaluate_terms` sums them.
+The four-term coboundary is not restated here: it is
+:func:`cochains.coboundary_terms` in the internal ``tensor`` mode (the
+split layout over tensor blocks, no canonicalization) with adjoint
+values, and the equivariance test is :func:`cochains.equivariance_terms`
+in the same mode.  :func:`leibniz_coboundary_matrix` is
+:func:`cochains.term_matrix` of the Leibniz term list.  Integral values
+(tensor table, twist and L-action columns, phi's values) are Python
+ints; other rationals stay ``Fraction``, so results are exact.
 """
 
 from __future__ import annotations
@@ -43,8 +51,12 @@ from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .fundamental import HomLeibnizAlgebra, fundamental_of, induced_algebra
-from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis
+from .cochains import coboundary_terms, equivariance_terms, evaluate_terms, term_matrix
+from .derivations import adjoint_representation
+from .fundamental import HomLeibnizAlgebra, fundamental_of
+# kept reachable here: layerbench/tracing.py TARGETS wraps both by name in bridge
+from .fundamental import build_tensor_fundamental, tensor_fundamental_of, tensor_of_vectors
+from .indices import exact_vec, expand, sort_with_sign, sv_add
 
 
 def _exact_values(coeffs: dict) -> dict:
@@ -60,69 +72,6 @@ def _slot_map(f, vectors, s: int, dim: int) -> dict:
         if v:
             out[m] = v
     return out
-
-
-def _apply(values: dict, scalars, maps) -> dict:
-    """Sum of a term list on stored values; zeros dropped once at the end."""
-    acc = {}
-    for key, w in scalars:
-        vec = values.get(key)
-        if vec:
-            for r, u in vec.items():
-                acc[r] = acc.get(r, 0) + w * u
-    for key, w, op in maps:
-        vec = values.get(key)
-        if vec:
-            for m, u in vec.items():
-                col = op.get(m)
-                if col:
-                    wu = w * u
-                    for r, c in col.items():
-                        acc[r] = acc.get(r, 0) + wu * c
-    return {r: x for r, x in acc.items() if x}
-
-
-def _pointwise(values: dict, keys, terms) -> dict:
-    """``{key: terms(key) applied to values}`` over keys, zero sums left out."""
-    out = {}
-    for key in keys:
-        total = _apply(values, *terms(key))
-        if total:
-            out[key] = total
-    return out
-
-
-def tensor_of_vectors(tindex, vectors) -> dict:
-    """Expand a decomposable tensor of sparse vectors into coordinates."""
-    out = {}
-    for t, w in expand(vectors):
-        k = tindex[t]
-        out[k] = out.get(k, 0) + w
-    return {k: v for k, v in out.items() if v}
-
-
-def _bracket(leib: HomLeibnizAlgebra, vectors) -> dict:
-    """The n-ary bracket of n sparse vectors, read off the L-action table."""
-    acc = {}
-    for t, w in expand(vectors):
-        for r, c in leib.l_action[leib.index[t[:-1]]][t[-1]].items():
-            acc[r] = acc.get(r, 0) + w * c
-    return {r: x for r, x in acc.items() if x}
-
-
-def build_tensor_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
-    """The induced binary bracket on (n-1)-fold tensor blocks."""
-    basis = tensor_basis(alg.dim, alg.arity - 1)
-    tindex = {t: i for i, t in enumerate(basis)}
-    return induced_algebra(alg, basis, partial(tensor_of_vectors, tindex))
-
-
-def tensor_fundamental_of(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
-    cached = getattr(alg, "_tensor_fundamental", None)
-    if cached is None:
-        cached = build_tensor_fundamental(alg)
-        alg._tensor_fundamental = cached
-    return cached
 
 
 def wedge_projection(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra):
@@ -142,19 +91,17 @@ def wedge_projection(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra):
 class LeibnizCochain:
     """Plain multilinear map on p-tuples of Leibniz-algebra elements with
     values in the algebra; no symmetry is imposed.  Degree 0 is a single
-    element, stored as its sparse coordinate dict."""
+    element, stored at the empty tuple."""
 
     leib: HomLeibnizAlgebra
     degree: int
-    coeffs: dict  # degree 0: sparse vector; else {tuple: sparse vector}
+    coeffs: dict  # {tuple: sparse vector}
 
     @classmethod
     def zero(cls, leib, degree):
         return cls(leib, degree, {})
 
     def is_zero(self) -> bool:
-        if self.degree == 0:
-            return not self.coeffs
         return all(not v for v in self.coeffs.values())
 
 
@@ -190,7 +137,7 @@ def _leibniz_terms(leib: HomLeibnizAlgebra, p: int, args, left, right):
             if bracket:
                 vecs = [leib.twist_cols[args[t]] for t in range(p + 1) if t != k]
                 vecs[j - 1] = bracket
-                scalars += [(key, sk * w) for key, w in expand(vecs)]
+                scalars.append((expand(vecs), sk))
     return scalars, maps
 
 
@@ -198,10 +145,9 @@ def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: LeibnizCochain) -> LeibnizC
     """The twisted Loday-Pirashvili coboundary; degree 0 sends an
     element c to a -> -[c, a]."""
     p = phi.degree
-    values = _exact_values({(): phi.coeffs} if p == 0 else phi.coeffs)
     left, right = _multiplications(leib, p)
-    out = _pointwise(
-        values,
+    out = evaluate_terms(
+        _exact_values(phi.coeffs),
         itertools.product(range(leib.dim), repeat=p + 1),
         lambda args: _leibniz_terms(leib, p, args, left, right),
     )
@@ -211,33 +157,16 @@ def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: LeibnizCochain) -> LeibnizC
 def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseMatrix:
     """Operator matrix over lex-ordered tuple coordinates: component m of
     phi at the k-th p-tuple is column k * dim + m, component r of d phi at
-    the k-th (p+1)-tuple is row k * dim + r.  Assembled row block by row
-    block from each output tuple's term list; the row count is
+    the k-th (p+1)-tuple is row k * dim + r.  The row count is
     dim^(p+2), so it is meant for small algebras."""
     dim = leib.dim
     left, right = _multiplications(leib, p)
-
-    def column(key):
-        idx = 0
-        for a in key:
-            idx = idx * dim + a
-        return idx * dim
-
-    m = linalg.SparseMatrix(dim ** (p + 2), dim ** (p + 1), {})
-    for row, args in enumerate(itertools.product(range(dim), repeat=p + 1)):
-        scalars, maps = _leibniz_terms(leib, p, args, left, right)
-        block = {}
-        for key, w in scalars:
-            col = column(key)
-            for c in range(dim):
-                block[c, col + c] = block.get((c, col + c), 0) + w
-        for key, w, op in maps:
-            col = column(key)
-            for c, vec in op.items():
-                for r, x in vec.items():
-                    block[r, col + c] = block.get((r, col + c), 0) + w * x
-        m.entries.update(((row * dim + r, c), v) for (r, c), v in block.items() if v)
-    return m
+    index = {t: k for k, t in enumerate(itertools.product(range(dim), repeat=p))}
+    return term_matrix(
+        list(itertools.product(range(dim), repeat=p + 1)),
+        lambda args: _leibniz_terms(leib, p, args, left, right),
+        index, dim, dim ** (p + 1),
+    )
 
 
 # -- cochains with tensor blocks plus one algebra slot ------------------------
@@ -274,50 +203,18 @@ class BridgeCochain:
 
 
 def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
-    """The four-term coboundary on tensor-block cochains (p >= 0).
+    """The four-term coboundary on tensor-block cochains (p >= 0): the
+    operator of :func:`cochains.coboundary_terms` in tensor mode with
+    adjoint values, applied pointwise.
 
     Degree 0 is the derivation defect
     sum_i [x_1, ..., phi(x_i), ..., x_n] - phi([x_1, ..., x_n]),
     which is the general formula with a^0 = id.
     """
-    alg, leib = phi.alg, phi.leib
-    d, n, p = alg.dim, alg.arity, phi.degree
-    lact, twist = leib.l_action, leib.twist_cols
-    bracket = partial(_bracket, leib)
-    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
-    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
-    # L(a^p(b_a)) and [a^p(x^1), ..., b_m in slot s, ..., a^p(x^(n-1)), a^p(z)]
-    lpow = [_slot_map(bracket, [alpha_p[x] for x in t] + [None], n - 1, d) for t in leib.basis]
-    fourth = [
-        [[_slot_map(bracket, [alpha_p[x] for x in t] + [alpha_p[z]], s, d) for z in range(d)]
-         for s in range(n - 1)]
-        for t in leib.basis
-    ]
-    sign4 = 1 if p % 2 == 0 else -1  # (-1)^p
-
-    def terms(key):
-        args, z = key[:-1], key[-1]
-        scalars, maps = [], []
-        for i in range(p + 1):
-            sign = -1 if i % 2 == 0 else 1  # (-1)^i, 1-based
-            rest = args[:i] + args[i + 1:]
-            twisted = [twist[a] for a in rest]
-            for j in range(i + 1, p + 1):
-                b = leib.table[args[i]][args[j]]
-                if b:
-                    vecs = twisted[:j - 1] + [b] + twisted[j:] + [alpha[z]]
-                    scalars += [(t, sign * w) for t, w in expand(vecs)]
-            lz = lact[args[i]][z]
-            if lz:
-                scalars += [(t, sign * w) for t, w in expand(twisted + [lz])]
-            maps.append((rest + (z,), -sign, lpow[args[i]]))
-        last = leib.basis[args[p]]
-        for s in range(n - 1):
-            maps.append((args[:p] + (last[s],), sign4, fourth[args[p]][s][z]))
-        return scalars, maps
-
-    keys = itertools.product(*[range(leib.dim)] * (p + 1), range(d))
-    return BridgeCochain(alg, leib, p + 1, _pointwise(phi.stored_values(), keys, terms))
+    alg, p = phi.alg, phi.degree
+    _, _, terms = coboundary_terms(alg, adjoint_representation(alg), p, "tensor")
+    keys = itertools.product(*[range(phi.leib.dim)] * (p + 1), range(alg.dim))
+    return BridgeCochain(alg, phi.leib, p + 1, evaluate_terms(phi.stored_values(), keys, terms))
 
 
 # -- the lift -----------------------------------------------------------------
@@ -333,7 +230,7 @@ def _lift(phi: BridgeCochain, ops) -> LeibnizCochain:
         return (), [(args[:p] + (last[s],), 1, op) for s, op in enumerate(ops[args[p]])]
 
     keys = itertools.product(range(leib.dim), repeat=p + 1)
-    return LeibnizCochain(leib, p + 1, _pointwise(phi.stored_values(), keys, terms))
+    return LeibnizCochain(leib, p + 1, evaluate_terms(phi.stored_values(), keys, terms))
 
 
 def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
@@ -403,37 +300,16 @@ def pullback_wedge_cochain(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra, psi)
 
 
 def bridge_equivariance_violations(phi: BridgeCochain):
-    """Argument tuples where twist . phi != phi o twist (empty iff
-    phi is equivariant)."""
-    alg, leib = phi.alg, phi.leib
-    d = alg.dim
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    bad = []
-    for args in itertools.product(range(leib.dim), repeat=phi.degree):
-        for z in range(d):
-            lhs = {}
-            for c, v in phi.coeffs.get(args + (z,), {}).items():
-                for r, w in alpha_cols[c].items():
-                    sv_add(lhs, r, v * w)
-            rhs = phi.evaluate([leib.twist_cols[a] for a in args], alpha_cols[z])
-            diff = dict(lhs)
-            for k, v in rhs.items():
-                sv_add(diff, k, -v)
-            if diff:
-                bad.append(args + (z,))
-    return bad
+    """Keys ``(blocks..., z)`` where twist . phi != phi o twist, in key
+    order (empty iff phi is equivariant): the nonzero rows of the
+    tensor-mode equivariance operator on phi."""
+    alg = phi.alg
+    space, terms = equivariance_terms(alg, adjoint_representation(alg), phi.degree, "tensor")
+    return list(evaluate_terms(phi.stored_values(), space.keys, terms))
 
 
 def random_bridge_cochain(alg: HomNambuAlgebra, leib: HomLeibnizAlgebra, p: int, rng, span=2):
-    """Random integer-coefficient cochain (no symmetry constraints);
-    degree 0 draws a d x d matrix row by row."""
-    if p == 0:
-        cols = {}
-        for r, z in itertools.product(range(alg.dim), repeat=2):
-            v = rng.randint(-span, span)
-            if v:
-                cols.setdefault((z,), {})[r] = Fraction(v)
-        return BridgeCochain(alg, leib, 0, cols)
+    """Random integer-coefficient cochain (no symmetry constraints)."""
     out = {}
     for args in itertools.product(range(leib.dim), repeat=p):
         for z in range(alg.dim):

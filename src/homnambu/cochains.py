@@ -7,7 +7,7 @@ rho sends n-1 algebra elements, skew, to an endomorphism of V and nu is
 a linear map of V.  :class:`Cochain` holds scalar values (V = Q) or
 algebra elements (the adjoint module).
 
-Two storage modes fix the symmetry type:
+Three storage modes fix the symmetry type:
 
 * ``fused`` (default): the last wedge block and the final slot together
   form one fully skew group of n indices.  This is the space the
@@ -15,11 +15,15 @@ Two storage modes fix the symmetry type:
 * ``split``: the final slot is independent of the blocks.  The split
   space contains the fused one; it is used to probe, per algebra, that
   the coboundary really maps fused cochains to fused cochains.
+* ``tensor`` (internal, for :mod:`homnambu.bridge`): the split layout
+  over (n-1)-fold tensor blocks, with the tables of
+  :func:`~homnambu.fundamental.tensor_fundamental_of`; a key is its own
+  argument tuple.  No file or command-line option names it.
 
 Canonical keys: ``(b_1, ..., b_{p-1}, m)`` in fused mode, with block ids
 ``b_i`` indexing the lexicographic wedge basis and ``m`` indexing
-increasing n-tuples; ``(b_1, ..., b_p, z)`` in split mode with ``z`` a
-basis index.  Value component c of key number k is coordinate
+increasing n-tuples; ``(b_1, ..., b_p, z)`` in the other modes with
+``z`` a basis index.  Value component c of key number k is coordinate
 k * dim V + c.
 
 The degree-p coboundary is the sum of four terms (1-based signs, a the
@@ -40,6 +44,14 @@ there are no bracket pairs, a^0 = id, and the four terms reduce to
 
 (d2 is -psi([x]), d3 the term i = n and d4 the others).
 
+The operator is stated once, as a term list per output key
+(:func:`coboundary_terms`): scalar terms ``(pairs, sign)`` read psi at
+a combination of stored keys given as ``(key, weight)`` pairs, map terms
+``(key, w, op)`` push psi at one key through a linear map of V.
+:func:`term_matrix` assembles a term list into a sparse matrix and
+:func:`evaluate_terms` applies it pointwise to stored values; the
+Leibniz complex of :mod:`homnambu.bridge` uses the same two.
+
 Compatible cochains satisfy nu o psi = psi o a.  The trivial
 representation (V = Q, rho = 0, nu = 1) gives the scalar complex,
 computed on all cochains; the adjoint representation gives the
@@ -56,12 +68,12 @@ from functools import cached_property
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .fundamental import fundamental_of
-from .indices import exact_vec, expand, sort_with_sign, sv_add, wedge_basis
+from .fundamental import fundamental_of, tensor_fundamental_of
+from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis, wedge_basis
 
 ZERO = Fraction(0)
 
-MODES = ("fused", "split")
+MODES = ("fused", "split", "tensor")  # "tensor" is internal, for the bridge
 
 
 class CochainError(ValueError):
@@ -84,7 +96,8 @@ class CochainSpace:
         self.kind = kind
         self.mode = mode if degree else "split"
         d, n = alg.dim, alg.arity
-        self.wedge = wedge_basis(d, n - 1)
+        # the block basis: (n-1)-wedges, or all (n-1)-tuples in tensor mode
+        self.wedge = (tensor_basis if mode == "tensor" else wedge_basis)(d, n - 1)
         self.windex = {t: i for i, t in enumerate(self.wedge)}
         self.nforms = wedge_basis(d, n)
         self.nindex = {t: i for i, t in enumerate(self.nforms)}
@@ -126,7 +139,7 @@ class CochainSpace:
     def canonical_key(self, block_ids, z):
         """Key and sign for blocks given as wedge ids plus final index;
         sign 0 when the fused group has a repeat."""
-        if self.mode == "split":
+        if self.mode != "fused":
             return tuple(block_ids) + (z,), 1
         m, sign = self.fuse[block_ids[-1]][z]
         return (tuple(block_ids[:-1]) + (m,), sign) if sign else (None, 0)
@@ -140,6 +153,8 @@ class CochainSpace:
         """
         if len(blocks) != self.degree:
             raise CochainError(f"need {self.degree} block arguments")
+        if self.mode != "fused":  # a key is its own argument tuple
+            return dict(expand([*blocks, z]))
         out = {}
         for ids, w in expand(blocks):
             for zi, zc in z.items():
@@ -258,10 +273,10 @@ def _rho_columns(rep) -> dict:
     return out
 
 
-def _rho_weights(rho_cols: dict, args, dim: int):
-    """Sparse columns of rho at n-1 sparse vectors (skew multilinear
-    expansion); None when rho vanishes there."""
-    out = [{} for _ in range(dim)]
+def _rho_weights(rho_cols: dict, args) -> dict:
+    """Sparse columns ``{c: column}`` of rho at n-1 sparse vectors (skew
+    multilinear expansion); empty when rho vanishes there."""
+    out = {}
     for ids, coeff in expand(args):
         canon, sign = sort_with_sign(ids)
         cols = rho_cols.get(canon) if sign else None
@@ -270,57 +285,51 @@ def _rho_weights(rho_cols: dict, args, dim: int):
         coeff *= sign
         for c, col in enumerate(cols):
             for r, v in col.items():
-                sv_add(out[c], r, coeff * v)
-    return out if any(out) else None
+                sv_add(out.setdefault(c, {}), r, coeff * v)
+    return {c: col for c, col in out.items() if col}
 
 
-def coboundary_matrix(
-    alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
-) -> linalg.SparseMatrix:
-    """Sparse matrix of the degree-p coboundary with values in ``rep``,
-    p >= 0: the four terms of the module docstring.
+def _block_algebra(alg: HomNambuAlgebra, mode: str):
+    """The induced algebra on the blocks of a mode: tensor or wedge."""
+    return tensor_fundamental_of(alg) if mode == "tensor" else fundamental_of(alg)
 
-    Every table (twist columns, the fundamental bracket and twist, the
-    L-action and the rho weights) is built once with integral values as
-    ints, so integral structure constants give integer arithmetic; the
-    fundamental ones are those of :func:`fundamental_of`.
+
+def coboundary_terms(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode=None):
+    """The degree-p coboundary with values in ``rep``, p >= 0, as a term
+    list per output key: the four terms of the module docstring.
+
+    Returns ``(space_in, space_out, terms)``.  ``terms(key)`` gives
+    ``(scalars, maps)``: ``(pairs, sign)`` add sign * sum w psi(in_key)
+    over the ``(in_key, w)`` pairs on every value component (here the
+    items of a :meth:`CochainSpace.functional` dict, read once and never
+    copied), ``(in_key, w, op)`` triples add w op(psi(in_key)) with
+    ``op = {c: {r: v}}``.  Every table (twist columns, the block
+    bracket and twist, the L-action and the rho weights) is built once
+    with integral values as ints, so integral structure constants give
+    integer arithmetic.
     """
-    fund = fundamental_of(alg)
     space_in = CochainSpace(alg, p, "scalar", mode)
     space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
-    d, n, dv = alg.dim, alg.arity, rep.dim
+    fund = _block_algebra(alg, space_out.mode)
+    d, n = alg.dim, alg.arity
     alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
     alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
     twist, table, laction = fund.twist_cols, fund.table, fund.l_action
+    functional, canonical_key = space_in.functional, space_in.canonical_key
     rho_cols = _rho_columns(rep)
-    # weights of d3, rho(a^p(x)) per wedge id x, and of d4,
+    # weights of d3, rho(a^p(x)) per block id x, and of d4,
     # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per (y, s, z); none when rho = 0
     third, fourth = {}, {}
     if rho_cols:
-        third = {b: _rho_weights(rho_cols, [alpha_p[t] for t in x], dv)
+        third = {b: _rho_weights(rho_cols, [alpha_p[t] for t in x])
                  for b, x in enumerate(fund.basis)}
         fourth = {(b, s, z): _rho_weights(rho_cols, [alpha_p[t] for t in y[:s] + y[s + 1:]]
-                                          + [alpha_p[z]], dv)
+                                          + [alpha_p[z]])
                   for b, y in enumerate(fund.basis) for s in range(n - 1) for z in range(d)}
 
-    def scatter(block, blocks, final, sign, weights=None):
-        """Add sign * weights . psi(blocks, final) to a row block keyed
-        (row offset, column); no weights: the identity."""
-        for in_key, w in space_in.functional(blocks, final).items():
-            col, w = space_in.key_index[in_key] * dv, sign * w
-            if weights is None:
-                for r in range(dv):
-                    block[r, col + r] = block.get((r, col + r), 0) + w
-                continue
-            for c, column in enumerate(weights):
-                for r, v in column.items():
-                    block[r, col + c] = block.get((r, col + c), 0) + w * v
-
-    entries = {}
-    for k, key in enumerate(space_out.keys):
+    def terms(key):
         block_ids, z = space_out.decode_args(key)
-        block = {}
-        units = [{b: 1} for b in block_ids]
+        scalars, maps = [], []
         alpha_blocks = [twist[b] for b in block_ids]
         for i, b in enumerate(block_ids):
             sign = -1 if i % 2 == 0 else 1  # (-1)^i with 1-based i
@@ -328,37 +337,111 @@ def coboundary_matrix(
             for j in range(i + 1, len(block_ids)):  # d1, the bracket in slot j
                 bracket = table[b][block_ids[j]]
                 if bracket:
-                    scatter(block, rest[:j - 1] + [bracket] + rest[j:], alpha[z], sign)
+                    args = rest[:j - 1] + [bracket] + rest[j:]
+                    scalars.append((functional(args, alpha[z]).items(), sign))
             if laction[b][z]:  # d2
-                scatter(block, rest, laction[b][z], sign)
-            if third.get(b):
-                scatter(block, units[:i] + units[i + 1:], {z: 1}, -sign, third[b])
+                scalars.append((functional(rest, laction[b][z]).items(), sign))
+            if third.get(b):  # d3 reads psi at one basis argument
+                in_key, s = canonical_key(block_ids[:i] + block_ids[i + 1:], z)
+                if s:
+                    maps.append((in_key, -sign * s, third[b]))
         y = fund.basis[block_ids[-1]]
-        for s in range(n - 1):
+        for s in range(n - 1):  # d4, sign (-1)^p (-1)^(n-s) with 1-based s
             weights = fourth.get((block_ids[-1], s, z))
-            if weights:  # sign (-1)^p (-1)^(n-s) with 1-based s
-                scatter(block, units[:-1], {y[s]: 1}, (-1) ** (p + n - 1 - s), weights)
+            if weights:
+                in_key, sk = canonical_key(block_ids[:-1], y[s])
+                if sk:
+                    maps.append((in_key, (-1) ** (p + n - 1 - s) * sk, weights))
+        return scalars, maps
+
+    return space_in, space_out, terms
+
+
+def apply_terms(values: dict, scalars, maps) -> dict:
+    """Sum of one term list on stored values ``{key: sparse vector}``;
+    zeros dropped once at the end."""
+    acc = {}
+    for pairs, sign in scalars:
+        for key, w in pairs:
+            vec = values.get(key)
+            if vec:
+                w *= sign
+                for r, u in vec.items():
+                    acc[r] = acc.get(r, 0) + w * u
+    for key, w, op in maps:
+        vec = values.get(key)
+        if vec:
+            for m, u in vec.items():
+                col = op.get(m)
+                if col:
+                    wu = w * u
+                    for r, c in col.items():
+                        acc[r] = acc.get(r, 0) + wu * c
+    return {r: x for r, x in acc.items() if x}
+
+
+def evaluate_terms(values: dict, keys, terms) -> dict:
+    """``{key: terms(key) applied to values}`` over keys, zero sums left out."""
+    out = {}
+    for key in keys:
+        total = apply_terms(values, *terms(key))
+        if total:
+            out[key] = total
+    return out
+
+
+def term_matrix(keys, terms, index, dv: int, cols: int) -> linalg.SparseMatrix:
+    """The operator of a term list as a matrix: component r of the k-th
+    output key is row k * dv + r, component c of input key ``in_key`` is
+    column index[in_key] * dv + c.  ``keys`` is a sequence."""
+    entries = {}
+    for k, key in enumerate(keys):
+        scalars, maps = terms(key)
+        block = {}  # (component, column) of this key's rows
+        for pairs, sign in scalars:
+            for in_key, w in pairs:
+                col, w = index[in_key] * dv, sign * w
+                for r in range(dv):
+                    block[r, col + r] = block.get((r, col + r), 0) + w
+        for in_key, w, op in maps:
+            col = index[in_key] * dv
+            for c, column in op.items():
+                for r, v in column.items():
+                    block[r, col + c] = block.get((r, col + c), 0) + w * v
         entries.update(((k * dv + r, c), v) for (r, c), v in block.items() if v)
-    return linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, entries)
+    return linalg.SparseMatrix(len(keys) * dv, cols, entries)
+
+
+def coboundary_matrix(
+    alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
+) -> linalg.SparseMatrix:
+    """Sparse matrix of the degree-p coboundary with values in ``rep``,
+    p >= 0: :func:`term_matrix` of :func:`coboundary_terms`."""
+    space_in, space_out, terms = coboundary_terms(alg, rep, p, mode, out_mode)
+    return term_matrix(space_out.keys, terms, space_in.key_index, rep.dim, space_in.dim * rep.dim)
+
+
+def equivariance_terms(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused"):
+    """Rows nu . psi(args) - psi(a args) over the keys of the degree-p
+    space, p >= 0, as ``(space, terms)`` in the format of
+    :func:`coboundary_terms`; the compatible cochains are its zeros."""
+    space = CochainSpace(alg, p, "scalar", mode)
+    twist = _block_algebra(alg, mode).twist_cols
+    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
+    nu = {}  # {c: column c of nu}
+    for (r, c), v in exact_vec(rep.nu.entries).items():
+        nu.setdefault(c, {})[r] = v
+
+    def terms(key):
+        block_ids, z = space.decode_args(key)
+        fn = space.functional([twist[b] for b in block_ids], alpha[z])
+        return [(fn.items(), -1)], [(key, 1, nu)]
+
+    return space, terms
 
 
 def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> linalg.SparseMatrix:
-    """Rows nu . psi(args) - psi(a args) over canonical tuples, p >= 0;
-    the compatible cochains are its kernel."""
-    space = CochainSpace(alg, p, "scalar", mode)
-    fund = fundamental_of(alg)
-    dv = rep.dim
-    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
-    twist = fund.twist_cols
-    nu = exact_vec(rep.nu.entries)
-    entries = {}
-    for k, key in enumerate(space.keys):
-        block_ids, z = space.decode_args(key)
-        row = k * dv
-        block = {(r, row + c): v for (r, c), v in nu.items()}
-        for in_key, w in space.functional([twist[b] for b in block_ids], alpha[z]).items():
-            col = space.key_index[in_key] * dv
-            for r in range(dv):
-                block[r, col + r] = block.get((r, col + r), 0) - w
-        entries.update(((row + r, c), v) for (r, c), v in block.items() if v)
-    return linalg.SparseMatrix(space.dim * dv, space.dim * dv, entries)
+    """Matrix of :func:`equivariance_terms`; the compatible cochains are
+    its kernel."""
+    space, terms = equivariance_terms(alg, rep, p, mode)
+    return term_matrix(space.keys, terms, space.key_index, rep.dim, space.dim * rep.dim)

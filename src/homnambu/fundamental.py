@@ -10,7 +10,10 @@ a Hom-Leibniz algebra (the bracket satisfies the twisted Leibniz
 identity but is generally not skew).  Everything is stored on the
 lexicographically ordered wedge basis; elements of the fundamental set
 are sparse coordinate dicts over wedge indices.  :func:`induced_algebra`
-builds the same bracket on tensor blocks for :mod:`homnambu.bridge`.
+builds the same bracket on either block basis: :func:`fundamental_of`
+on wedges and :func:`tensor_fundamental_of` on (n-1)-fold tensor blocks
+(no skewness), the Leibniz algebra of :mod:`homnambu.bridge` and of the
+``tensor`` cochain mode of :mod:`homnambu.cochains`.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra, bracket_eval_sparse
-from .indices import exact_vec, expand, sort_with_sign, sv_add, wedge_basis
+from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis, wedge_basis
 
 ONE = Fraction(1)
 
@@ -146,6 +149,30 @@ def fundamental_of(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
     if cached is None:
         cached = build_fundamental(alg)
         alg._fundamental = cached
+    return cached
+
+
+def tensor_of_vectors(tindex, vectors) -> dict:
+    """Expand a decomposable tensor of sparse vectors into coordinates."""
+    out = {}
+    for t, w in expand(vectors):
+        k = tindex[t]
+        out[k] = out.get(k, 0) + w
+    return {k: v for k, v in out.items() if v}
+
+
+def build_tensor_fundamental(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
+    """The induced binary bracket on (n-1)-fold tensor blocks."""
+    basis = tensor_basis(alg.dim, alg.arity - 1)
+    tindex = {t: i for i, t in enumerate(basis)}
+    return induced_algebra(alg, basis, partial(tensor_of_vectors, tindex))
+
+
+def tensor_fundamental_of(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
+    cached = getattr(alg, "_tensor_fundamental", None)
+    if cached is None:
+        cached = build_tensor_fundamental(alg)
+        alg._tensor_fundamental = cached
     return cached
 
 

@@ -46,11 +46,8 @@ def mat(rows) -> "SparseMatrix":
     sequences of rational-likes."""
     if isinstance(rows, SparseMatrix):
         return SparseMatrix(rows.rows, rows.cols, {k: Fraction(v) for k, v in rows.entries.items()})
-    rows = [list(r) for r in rows]
-    width = len(rows[0]) if rows else 0
-    if any(len(r) != width for r in rows):
-        raise LinAlgError("ragged rows")
-    entries = {(i, j): Fraction(v) for i, row in enumerate(rows) for j, v in enumerate(row) if v}
+    rows, width = _rows(rows)
+    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
     return SparseMatrix(len(rows), width, entries)
 
 
@@ -72,16 +69,31 @@ def is_zero_matrix(m: "SparseMatrix") -> bool:
 
 def _rows(m, transpose=False):
     """Nonzero entries of ``m`` (or of its transpose) as one
-    ``{column: value}`` dict per row, and the column count."""
-    if not isinstance(m, SparseMatrix):
-        m = mat(m)
-    n, k = (m.cols, m.rows) if transpose else (m.rows, m.cols)
-    rows = [{} for _ in range(n)]
-    for (r, c), v in m.entries.items():
-        if transpose:
-            r, c = c, r
-        rows[r][c] = v
-    return rows, k
+    ``{column: value}`` dict per row, and the column count; nested
+    sequences of rational-likes are read row by row; the one reader of
+    nested input, :func:`mat` included."""
+    if isinstance(m, SparseMatrix):
+        n, k = (m.cols, m.rows) if transpose else (m.rows, m.cols)
+        rows = [{} for _ in range(n)]
+        for (r, c), v in m.entries.items():
+            if transpose:
+                r, c = c, r
+            rows[r][c] = v
+        return rows, k
+    seqs = [r if isinstance(r, (list, tuple)) else list(r) for r in m]
+    width = len(seqs[0]) if seqs else 0
+    if any(len(r) != width for r in seqs):
+        raise LinAlgError("ragged rows")
+    # most zeros are the shared ZERO: the identity test skips them
+    # without a call to Fraction.__bool__
+    rows = [{j: Fraction(v) for j, v in enumerate(r) if v is not ZERO and v} for r in seqs]
+    if not transpose:
+        return rows, width
+    cols = [{} for _ in range(width)]
+    for i, row in enumerate(rows):
+        for j, v in row.items():
+            cols[j][i] = v
+    return cols, len(rows)
 
 
 def _echelon(rows, cols):

@@ -12,6 +12,8 @@ from homnambu.adjoint_cohomology import (
     random_equivariant_cochain,
 )
 from homnambu.algebra import HomNambuAlgebra, is_valid, zero_algebra
+from homnambu.cochains import CochainSpace, coboundary_matrix
+from homnambu.derivations import adjoint_representation
 from homnambu.bridge import (
     BridgeCochain,
     LeibnizCochain,
@@ -123,7 +125,7 @@ def test_leibniz_degree0_rule():
     alg = fixtures.filippov_n3()
     leib = tensor_fundamental_of(alg)
     c = {leib.index[(0, 1)]: ONE}
-    out = leibniz_coboundary(leib, LeibnizCochain(leib, 0, c))
+    out = leibniz_coboundary(leib, LeibnizCochain(leib, 0, {(): c}))
     for a in range(leib.dim):
         expected = {k: -v for k, v in leib.bracket_sparse(c, {a: ONE}).items()}
         assert out.coeffs.get((a,), {}) == expected
@@ -264,6 +266,42 @@ def test_random_cochain_not_equivariant_on_twisted():
     assert bad and all(len(key) == 1 and key[0] in range(alg.dim) for key in bad)
 
 
+def test_tensor_mode_operator_is_the_bridge_coboundary():
+    # the tensor-mode matrix and the pointwise evaluator are one operator,
+    # and the equivariance rows flag exactly the keys where
+    # a . phi(args, z) != phi(a args, a z) at basis arguments
+    rng = random.Random(61)
+    twisted, sl2 = fixtures.twisted_filippov_rotation(), fixtures.sl2()
+    cases = [(twisted, 0), (twisted, 1), (sl2, 0), (sl2, 1), (zero_algebra(3, 3), 2)]
+    for alg, p in cases:
+        d = alg.dim
+        leib = tensor_fundamental_of(alg)
+        phi = random_bridge_cochain(alg, leib, p, rng)
+        space_in = CochainSpace(alg, p, "scalar", "tensor")
+        space_out = CochainSpace(alg, p + 1, "scalar", "tensor")
+        flat = [phi.coeffs.get(key, {}).get(r, 0) for key in space_in.keys for r in range(d)]
+        m = coboundary_matrix(alg, adjoint_representation(alg), p, "tensor")
+        out = linalg.sparse_mat_vec(m, flat)
+        via_matrix = {}
+        for k, key in enumerate(space_out.keys):
+            vec = {r: out[k * d + r] for r in range(d) if out[k * d + r]}
+            if vec:
+                via_matrix[key] = vec
+        assert via_matrix == bridge_coboundary(phi).coeffs, (alg.dim, alg.arity, p)
+        assert via_matrix or not alg.coeffs
+        alpha = [alg.twist_column_sparse(i) for i in range(d)]
+        expected = []
+        for *args, z in space_in.keys:
+            lhs = {}
+            for c, v in phi.evaluate([{a: ONE} for a in args], {z: ONE}).items():
+                for r, w in alpha[c].items():
+                    sv_add(lhs, r, v * w)
+            if lhs != phi.evaluate([leib.twist_cols[a] for a in args], alpha[z]):
+                expected.append((*args, z))
+        assert bridge_equivariance_violations(phi) == expected
+        assert expected or alg is not twisted
+
+
 def scaled(phi, c):
     """The bridge cochain c * phi."""
     coeffs = {k: {r: c * v for r, v in vec.items()} for k, vec in phi.coeffs.items()}
@@ -330,9 +368,7 @@ def test_rational_structure_constants():
 
 def flat_leibniz(phi, dim):
     """Coordinates of a Leibniz cochain: component m of phi at the k-th
-    lex-ordered tuple is entry k * dim + m."""
-    if phi.degree == 0:
-        return [phi.coeffs.get(m, 0) for m in range(dim)]
+    lex-ordered tuple is entry k * dim + m (degree 0: the empty tuple)."""
     tuples = itertools.product(range(dim), repeat=phi.degree)
     return [phi.coeffs.get(t, {}).get(m, 0) for t in tuples for m in range(dim)]
 
@@ -345,15 +381,12 @@ def test_leibniz_matrix_agrees_with_pointwise():
         for p in (0, 1, 2):
             m = leibniz_coboundary_matrix(leib, p)
             for _ in range(3):
-                if p == 0:
-                    coeffs = {rng.randrange(9): Fraction(rng.randint(-4, 4), rng.randint(1, 3))}
-                else:
-                    coeffs = {
-                        tuple(rng.randrange(9) for _ in range(p)): {
-                            rng.randrange(9): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                        }
-                        for _ in range(12)
+                coeffs = {
+                    tuple(rng.randrange(9) for _ in range(p)): {
+                        rng.randrange(9): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                     }
+                    for _ in range(12 if p else 1)
+                }
                 phi = LeibnizCochain(leib, p, coeffs)
                 via_matrix = linalg.sparse_mat_vec(m, flat_leibniz(phi, 9))
                 pointwise = leibniz_coboundary(leib, phi)

@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from homnambu import fixtures
 from homnambu.cli import main
 from homnambu.formats import dumps_algebra, load_algebra, load_leibniz, save_cochains
@@ -73,6 +75,11 @@ def test_validate_parse_error_exit_2(tmp_path, capsys):
     code, _, err = run(capsys, "validate", bad)
     assert code == 2
     assert "line 5" in err
+    # the cochain modes on the command line are fused and split only
+    with pytest.raises(SystemExit) as exc:
+        run(capsys, "cohomology", FIXDIR / "sl2.alg", "-p", 1, "--mode", "tensor")
+    assert exc.value.code == 2
+    assert "invalid choice: 'tensor'" in capsys.readouterr().err
 
 
 def test_validate_json(capsys):

@@ -77,6 +77,10 @@ def test_bad_rational_reports_line():
 def test_missing_headers():
     with pytest.raises(ParseError):
         loads_algebra("arity = 2\ndim = 2\n1 0\n0 1\n")
+    # the tensor cochain mode is internal: no file declares it
+    text = COCHAIN_HEAD.format(kind="adjoint", degree=1, mode="tensor") + "[1,2,3] -> 0,1,0,-1\n"
+    with pytest.raises(ParseError, match="line 5"):
+        loads_cochains(text, fixtures.filippov_n3())
 
 
 def test_dimension_mismatch_in_bracket_line():

@@ -66,6 +66,9 @@ def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
         "adjoint_cohomology.equivariance",
         "backends.echelon",
         "bridge.tensor_fundamental",
+        "bridge.bridge_coboundary",
+        "bridge.leibniz_coboundary",
+        "cochains.functional",
     ):
         assert name in names
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from homnambu import adjoint_cohomology, fixtures
 from homnambu.linalg import (
+    LinAlgError,
     NotASubspaceError,
     SparseMatrix,
     SubspaceBasis,
@@ -40,6 +41,18 @@ def test_rank_dependent_rows():
     # row 2 = 2 * row 1, row 3 independent: rank 2 by hand reduction
     m = mat([[1, 2, 3], [2, 4, 6], [0, 1, 1]])
     assert rank(m) == 2
+
+
+def test_nested_rows_match_the_matrix():
+    # nested sequences, iterators included, are read row by row; ragged
+    # rows still raise
+    dense = [[1, 2, 3], [2, 4, 6], [0, Fraction(1, 2), 1]]
+    m = mat(dense)
+    assert rank(((1, 2, 3), (2, 4, 6), iter(dense[2]))) == rank(m) == 2
+    assert rref(dense) == rref(m)
+    assert image_basis(dense) == image_basis(m)
+    with pytest.raises(LinAlgError):
+        rank([[1, 2], [3]])
 
 
 def test_kernel_identity_empty():
