@@ -4,9 +4,10 @@ infinitesimal deformations.
 The adjoint complex is the complex of :mod:`homnambu.cochains` with
 values in the adjoint representation (V = L, rho(x) = L(x), nu the
 twist), which states its four-term coboundary.  Cochains are required
-to intertwine the twist (equivariance); the reports are computed inside
-that subspace, so the cocycles are the kernel of the coboundary together
-with the equivariance rows.
+to intertwine the twist (equivariance); the report is the shared
+:func:`cochains.cohomology` computed inside that subspace, so the
+cocycles are the kernel of the coboundary together with the equivariance
+rows.
 
 Degree 0 is the derivation-defect extension
 
@@ -14,8 +15,9 @@ Degree 0 is the derivation-defect extension
 
 restricted to equivariant matrices psi.  It is the p = 0 case of the
 general operator, on the degree-0 space whose key ``(z,)`` holds column
-z of psi; :func:`zero_coboundary_matrix` renumbers its columns to the
-row-major layout of :mod:`homnambu.derivations`.  Its image consists of
+z of psi; :func:`zero_coboundary_matrix` moves its columns to the
+row-major layout with :func:`derivations.row_major`, and its equivariant
+kernel is the level-0 derivation space.  Its image consists of
 cocycles: for equivariant psi, conjugating the bracket by id + t psi
 changes neither the twist (to first order) nor the validity of the
 fundamental identity, so the defect is precisely the tangent direction
@@ -26,13 +28,13 @@ no-degree-zero-boundaries count.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import cochains, linalg
 from .algebra import AlgebraError, HomNambuAlgebra, bracket_eval_sparse
-from .cochains import Cochain, CochainSpace, operator_respects_fusion
-from .derivations import adjoint_representation, commutation_matrix
+from .cochains import Cochain, CochainSpace
+from .derivations import adjoint_representation, commutation_matrix, row_major
 from .fundamental import wedge_of_vectors
 from .indices import sv_add, wedge_basis
 
@@ -46,20 +48,6 @@ class NotEquivariantError(AlgebraError):
         super().__init__(f"cochain is not equivariant: fails at {key}")
 
 
-@dataclass
-class AdjointReport:
-    degree: int
-    dim_c: int
-    dim_equivariant: int
-    dim_z: int
-    dim_b: int
-    dim_h: int
-    dim_h_no_defect: int  # with no degree-0 coboundaries at p = 1
-    cocycle_basis: linalg.SubspaceBasis
-    coboundary_basis: linalg.SubspaceBasis
-    mode: str = "fused"
-
-
 def equivariance_matrix(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> linalg.SparseMatrix:
     """Rows of a . psi(args) - psi(a args) over canonical tuples; the
     equivariant subspace is the kernel."""
@@ -71,16 +59,12 @@ def equivariant_basis(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> lina
 
 
 def equivariance_violations(alg: HomNambuAlgebra, psi: Cochain):
-    """Keys where a . psi != psi o a; empty iff psi is equivariant."""
-    flat = linalg.sparse_mat_vec(
-        equivariance_matrix(alg, psi.space.degree, psi.space.mode), psi.to_flat()
+    """Keys where a . psi != psi o a, in key order; empty iff psi is
+    equivariant."""
+    values = {key: {r: v for r, v in enumerate(vec) if v} for key, vec in psi.coeffs.items()}
+    return cochains.compatibility_violations(
+        alg, adjoint_representation(alg), psi.space.degree, psi.space.mode, values
     )
-    d = alg.dim
-    bad = []
-    for i, key in enumerate(psi.space.keys):
-        if any(flat[i * d + r] for r in range(d)):
-            bad.append(key)
-    return bad
 
 
 def coboundary_matrix(
@@ -90,33 +74,13 @@ def coboundary_matrix(
     return cochains.coboundary_matrix(alg, adjoint_representation(alg), p, mode, out_mode)
 
 
-def apply_coboundary(alg: HomNambuAlgebra, psi: Cochain, out_mode: str | None = None) -> Cochain:
-    """Coboundary of one cochain; rejects non-equivariant input."""
-    bad = equivariance_violations(alg, psi)
-    if bad:
-        raise NotEquivariantError(bad[0])
-    p = psi.space.degree
-    m = coboundary_matrix(alg, p, psi.space.mode, out_mode)
-    space_out = CochainSpace(alg, p + 1, "adjoint", out_mode or psi.space.mode)
-    return Cochain.from_flat(space_out, linalg.sparse_mat_vec(m, psi.to_flat()))
-
-
-def coboundary_preserves_fusion(alg: HomNambuAlgebra, p: int) -> bool:
-    m = coboundary_matrix(alg, p, "fused", out_mode="split")
-    space_split = CochainSpace(alg, p + 1, "adjoint", "split")
-    return operator_respects_fusion(space_split, m)
-
-
 # -- degree 0: the derivation-defect extension --------------------------------
 
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.SparseMatrix:
     """Matrix of psi (d x d, row-major) -> derivation defect of psi: the
     degree-0 operator with psi[r, c] moved from column c*d + r to r*d + c."""
-    d = alg.dim
-    m = coboundary_matrix(alg, 0, "split", mode)
-    entries = {(row, (col % d) * d + col // d): v for (row, col), v in m.entries.items()}
-    return linalg.SparseMatrix(m.rows, m.cols, entries)
+    return row_major(coboundary_matrix(alg, 0, "split", mode), alg.dim)
 
 
 def equivariant_matrix_space(alg: HomNambuAlgebra) -> linalg.SubspaceBasis:
@@ -124,36 +88,19 @@ def equivariant_matrix_space(alg: HomNambuAlgebra) -> linalg.SubspaceBasis:
     return linalg.kernel_basis(commutation_matrix(alg))
 
 
-def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> AdjointReport:
-    """Report inside the equivariant subspace.
+def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> cochains.CohomologyReport:
+    """Report inside the equivariant subspace, p >= 1:
+    :func:`cochains.cohomology` of this module's operator and
+    equivariance rows (this module's names, so that wrappers installed on
+    them see every operator of the report).
 
-    Cocycles are the kernel of the operator evaluated pointwise (split
-    rows) stacked on the equivariance rows; coboundaries are the image
-    of the degree p - 1 operator on equivariant cochains, so degree-1
-    coboundaries are derivation defects, and the report also carries
-    the value without them.
+    Degree-1 coboundaries are derivation defects, and the report also
+    carries the value without them.
     """
     if p < 1:
         raise ValueError("adjoint reports start at degree 1")
-    equi = equivariance_matrix(alg, p, mode)
-    delta = coboundary_matrix(alg, p, mode, "split")
-    stacked = linalg.SparseMatrix(delta.rows + equi.rows, delta.cols, dict(delta.entries))
-    stacked.entries.update(((delta.rows + r, c), v) for (r, c), v in equi.entries.items())
-    prev = coboundary_matrix(alg, p - 1, mode)
-    z, b, dim_h = linalg.homology(
-        stacked, linalg.restrict_columns(prev, equivariant_basis(alg, p - 1, mode))
-    )
-    return AdjointReport(
-        degree=p,
-        dim_c=delta.cols,
-        dim_equivariant=delta.cols - linalg.rank(equi),
-        dim_z=z.dim,
-        dim_b=b.dim,
-        dim_h=dim_h,
-        dim_h_no_defect=z.dim if p == 1 else dim_h,
-        cocycle_basis=z,
-        coboundary_basis=b,
-        mode=mode,
+    return cochains.cohomology(
+        p, mode, partial(coboundary_matrix, alg), partial(equivariance_matrix, alg)
     )
 
 

@@ -35,9 +35,10 @@ stored value at a basis tuple, scaled or pushed through a linear map
 The four-term coboundary is not restated here: it is
 :func:`cochains.coboundary_terms` in the internal ``tensor`` mode (the
 split layout over tensor blocks, no canonicalization) with adjoint
-values, and the equivariance test is :func:`cochains.equivariance_terms`
-in the same mode.  :func:`leibniz_coboundary_matrix` is
-:func:`cochains.term_matrix` of the Leibniz term list.  Integral values
+values, and the equivariance test is
+:func:`cochains.compatibility_violations` in the same mode.
+:func:`leibniz_coboundary_matrix` is :func:`cochains.term_matrix` of the
+Leibniz term list.  Integral values
 (tensor table, twist and L-action columns, phi's values) are Python
 ints; other rationals stay ``Fraction``, so results are exact.
 """
@@ -51,7 +52,7 @@ from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .cochains import coboundary_terms, equivariance_terms, evaluate_terms, term_matrix
+from .cochains import coboundary_terms, compatibility_violations, evaluate_terms, term_matrix
 from .derivations import adjoint_representation
 from .fundamental import HomLeibnizAlgebra, fundamental_of
 # kept reachable here: layerbench/tracing.py TARGETS wraps both by name in bridge
@@ -304,8 +305,9 @@ def bridge_equivariance_violations(phi: BridgeCochain):
     order (empty iff phi is equivariant): the nonzero rows of the
     tensor-mode equivariance operator on phi."""
     alg = phi.alg
-    space, terms = equivariance_terms(alg, adjoint_representation(alg), phi.degree, "tensor")
-    return list(evaluate_terms(phi.stored_values(), space.keys, terms))
+    return compatibility_violations(
+        alg, adjoint_representation(alg), phi.degree, "tensor", phi.stored_values()
+    )
 
 
 def random_bridge_cochain(alg: HomNambuAlgebra, leib: HomLeibnizAlgebra, p: int, rng, span=2):

@@ -193,32 +193,25 @@ def cmd_fundamental(args) -> tuple:
 
 def cmd_cohomology(args) -> tuple:
     alg = _load(args.algebra)
-    lowest = 0 if args.coefficients == "trivial" else 1
+    adjoint = args.coefficients == "adjoint"
+    lowest = 1 if adjoint else 0
     if args.degree < lowest:
         raise Refused(f"{args.coefficients} cohomology starts at degree {lowest}")
     _require_valid(alg)
-    if args.coefficients == "trivial":
-        rep = scalar_cohomology.cohomology(alg, args.degree, args.mode)
-        dims = {
-            "dim_C": rep.dim_c,
-            "dim_Z": rep.dim_z,
-            "dim_B": rep.dim_b,
-            "dim_H": rep.dim_h,
-        }
-        kind = "scalar"
-        cocycles = rep.cocycle_basis
-    else:
-        rep = adjoint_cohomology.cohomology(alg, args.degree, args.mode)
-        dims = {
-            "dim_C": rep.dim_c,
-            "dim_C_equivariant": rep.dim_equivariant,
-            "dim_Z": rep.dim_z,
-            "dim_B": rep.dim_b,
-            "dim_H": rep.dim_h,
-            "dim_H_without_defect_boundaries": rep.dim_h_no_defect,
-        }
-        kind = "adjoint"
-        cocycles = rep.cocycle_basis
+    kind = "adjoint" if adjoint else "scalar"
+    module = adjoint_cohomology if adjoint else scalar_cohomology
+    result = module.cohomology(alg, args.degree, args.mode)
+    dims = {
+        "dim_C": result.dim_c,
+        "dim_C_equivariant": result.dim_compatible,
+        "dim_Z": result.dim_z,
+        "dim_B": result.dim_b,
+        "dim_H": result.dim_h,
+        "dim_H_without_defect_boundaries": result.dim_h_no_defect,
+    }
+    if not adjoint:  # the scalar complex imposes no compatibility
+        del dims["dim_C_equivariant"], dims["dim_H_without_defect_boundaries"]
+    cocycles = result.cocycle_basis
     basis_out = args.basis_out
     if basis_out is None:
         stem = Path(args.algebra).stem

@@ -52,10 +52,16 @@ a combination of stored keys given as ``(key, weight)`` pairs, map terms
 :func:`evaluate_terms` applies it pointwise to stored values; the
 Leibniz complex of :mod:`homnambu.bridge` uses the same two.
 
-Compatible cochains satisfy nu o psi = psi o a.  The trivial
-representation (V = Q, rho = 0, nu = 1) gives the scalar complex,
-computed on all cochains; the adjoint representation gives the
-algebra-valued complex, computed on the compatible ones.
+Compatible cochains satisfy nu o psi = psi o a: the kernel of
+:func:`equivariance_matrix`, checked pointwise by
+:func:`compatibility_violations`.  :func:`cohomology` is the one report
+for any representation: given the operator of a complex, and optionally
+its compatibility rows, it returns a :class:`CohomologyReport` of
+cocycles, coboundaries and their quotient.  The trivial representation
+(V = Q, rho = 0, nu = 1) gives the scalar complex, reported on all
+cochains; the adjoint representation gives the algebra-valued complex,
+reported on the compatible ones.  The degree-0 operator of the level-k
+action of :mod:`homnambu.derivations` states the derivation rule.
 """
 
 from __future__ import annotations
@@ -241,27 +247,6 @@ class Cochain:
         return tuple(total.get(i, ZERO) for i in range(self.space.value_dim))
 
 
-def operator_respects_fusion(space_split: CochainSpace, m: linalg.SparseMatrix) -> bool:
-    """True when every column of ``m``, an operator into ``space_split``
-    with any number of value components per key, lies in the fused
-    subspace: skew across the last wedge block and the final slot."""
-    if space_split.mode != "split":
-        raise CochainError("expected a split-mode space")
-    dv = m.rows // len(space_split.keys)
-    for idx, (*blocks, z) in enumerate(space_split.keys):
-        merged, sign = sort_with_sign(space_split.wedge[blocks[-1]] + (z,))
-        if sign:
-            canon = tuple(blocks[:-1]) + (space_split.windex[merged[:-1]], merged[-1])
-            canon = space_split.key_index[canon]
-        for comp in range(dv):
-            for col in range(m.cols):
-                value = m.entries.get((idx * dv + comp, col), 0)
-                expected = sign * m.entries.get((canon * dv + comp, col), 0) if sign else 0
-                if value != expected:
-                    return False
-    return True
-
-
 def _rho_columns(rep) -> dict:
     """Sparse columns of every nonzero rho matrix, by increasing tuple,
     integral entries as ints."""
@@ -445,3 +430,96 @@ def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> lina
     its kernel."""
     space, terms = equivariance_terms(alg, rep, p, mode)
     return term_matrix(space.keys, terms, space.key_index, rep.dim, space.dim * rep.dim)
+
+
+def compatibility_violations(alg: HomNambuAlgebra, rep, p: int, mode: str, values: dict) -> list:
+    """Keys where nu . psi != psi o a, in key order, for stored values
+    ``{key: sparse vector}``; empty iff psi is compatible."""
+    space, terms = equivariance_terms(alg, rep, p, mode)
+    return list(evaluate_terms(values, space.keys, terms))
+
+
+def apply_coboundary(rep, phi: Cochain, out_mode: str | None = None) -> Cochain:
+    """d phi with values in ``rep``, by one exact mat-vec."""
+    space = phi.space
+    m = coboundary_matrix(space.alg, rep, space.degree, space.mode, out_mode)
+    space_out = CochainSpace(space.alg, space.degree + 1, space.kind, out_mode or space.mode)
+    return Cochain.from_flat(space_out, linalg.sparse_mat_vec(m, phi.to_flat()))
+
+
+def coboundary_preserves_fusion(alg: HomNambuAlgebra, rep, p: int) -> bool:
+    """Does the degree-p coboundary send fused cochains to fused cochains?
+
+    Every column of the operator into the split space must be skew
+    across the last wedge block and the final slot, on every value
+    component.
+    """
+    m = coboundary_matrix(alg, rep, p, "fused", "split")
+    space = CochainSpace(alg, p + 1, "scalar", "split")
+    dv = rep.dim
+    for idx, (*blocks, z) in enumerate(space.keys):
+        merged, sign = sort_with_sign(space.wedge[blocks[-1]] + (z,))
+        if sign:
+            canon = tuple(blocks[:-1]) + (space.windex[merged[:-1]], merged[-1])
+            canon = space.key_index[canon]
+        for comp in range(dv):
+            for col in range(m.cols):
+                value = m.entries.get((idx * dv + comp, col), 0)
+                expected = sign * m.entries.get((canon * dv + comp, col), 0) if sign else 0
+                if value != expected:
+                    return False
+    return True
+
+
+# -- the cohomology report ----------------------------------------------------
+
+
+@dataclass
+class CohomologyReport:
+    """Cocycles, coboundaries and their quotient at one degree.
+
+    ``dim_compatible`` is the dimension of the compatible cochains
+    (``dim_c`` when no compatibility is imposed); ``dim_h_no_defect`` is
+    the quotient without degree-0 coboundaries, so ``dim_z`` at p = 1
+    and ``dim_h`` above.
+    """
+
+    degree: int
+    dim_c: int
+    dim_compatible: int
+    dim_z: int
+    dim_b: int
+    dim_h: int
+    dim_h_no_defect: int
+    cocycle_basis: linalg.SubspaceBasis
+    coboundary_basis: linalg.SubspaceBasis
+    mode: str = "fused"
+
+
+def cohomology(p: int, mode: str, operator, compatibility=None) -> CohomologyReport:
+    """The report at degree p >= 0 of one complex: ``operator(q, mode[,
+    out_mode])`` is its degree-q matrix and ``compatibility(q, mode)``,
+    when given, the rows whose kernel is the compatible cochains.
+
+    Cocycles are the kernel of the operator evaluated pointwise (split
+    rows), with the compatibility rows stacked under it, so the answer
+    does not presuppose that the image stays in the fused space; the
+    containment check of :func:`linalg.homology` would surface any such
+    defect.  Coboundaries are the image of the degree p - 1 operator on
+    compatible cochains.
+    """
+    if p < 0:
+        raise ValueError("degree must be >= 0")
+    delta = operator(p, mode, "split")
+    prev = operator(p - 1, mode) if p else linalg.SparseMatrix(delta.cols, 0, {})
+    dim_compatible = delta.cols
+    if compatibility is not None:
+        rows = compatibility(p, mode)
+        dim_compatible -= linalg.rank(rows)
+        delta = linalg.stack(delta, rows)
+        if p:
+            prev = linalg.restrict_columns(prev, linalg.kernel_basis(compatibility(p - 1, mode)))
+    z, b, dim_h = linalg.homology(delta, prev)
+    return CohomologyReport(
+        p, delta.cols, dim_compatible, z.dim, b.dim, dim_h, z.dim if p == 1 else dim_h, z, b, mode
+    )

@@ -6,8 +6,20 @@ slot carries twist^k.  Level -1 is allowed with twist^(-1) = 0: the rule
 then forces D to kill every bracket value (for n >= 2 each summand on
 the right has at least one zero slot).
 
+Both conditions are read off :mod:`homnambu.cochains`.  The level-k
+action rho(x_1, ..., x_{n-1}) = [a^k(x_1), ..., a^k(x_{n-1}), .], nu the
+twist (:func:`level_representation`; level 0 is the adjoint
+representation), has the degree-0 coboundary
+
+    (d D)(x_1, ..., x_n) = sum_i [a^k x_1, ..., D x_i, ..., a^k x_n] - D([x_1, ..., x_n]),
+
+the negated Leibniz defect, and degree-0 equivariance rows a D - D a;
+the level-k derivations are the common kernel of the two.
+
 Matrices of derivations are flattened row-major (D[r, c] at r*d + c) so
-spaces of derivations live in Q^(d^2) as ordinary subspaces.
+spaces of derivations live in Q^(d^2) as ordinary subspaces.  The
+degree-0 cochain layout stores D[r, c] at c*d + r (column c of D at key
+``(c,)``); :func:`row_major` moves an operator's columns across.
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import linalg
+from . import cochains, linalg
 from .algebra import AlgebraError, HomNambuAlgebra, ad_matrix, bracket_eval_sparse
-from .indices import expand, sort_with_sign, sv_to_dense, wedge_basis
+from .indices import expand, sort_with_sign, wedge_basis
 
 ONE = Fraction(1)
 
@@ -45,83 +57,55 @@ def unflatten_matrix(flat, d) -> linalg.SparseMatrix:
     return linalg.mat([flat[r * d:(r + 1) * d] for r in range(d)])
 
 
+def row_major(m: linalg.SparseMatrix, d: int) -> linalg.SparseMatrix:
+    """``m`` with its columns moved from the degree-0 cochain layout
+    (psi[r, c] at c*d + r) to the row-major one (r*d + c)."""
+    entries = {(row, (col % d) * d + col // d): v for (row, col), v in m.entries.items()}
+    return linalg.SparseMatrix(m.rows, m.cols, entries)
+
+
 def commutation_matrix(alg: HomNambuAlgebra) -> linalg.SparseMatrix:
-    """Rows (D A - A D)[r, c] on flattened d x d matrices D, A the twist;
-    its kernel is the commutant of the twist."""
-    d, a = alg.dim, alg.twist
-    m = linalg.SparseMatrix(d * d, d * d, {})
-    for r in range(d):
-        for c in range(d):
-            for j in range(d):
-                m.add(r * d + c, r * d + j, a[j, c])
-                m.add(r * d + c, j * d + c, -a[r, j])
-    return m
+    """Rows (A D - D A)[r, c] on flattened d x d matrices D, A the twist:
+    the degree-0 equivariance rows; its kernel is the commutant of the
+    twist."""
+    return row_major(cochains.equivariance_matrix(alg, level_representation(alg, 0), 0), alg.dim)
 
 
-def _slot_matrices(alg: HomNambuAlgebra, key, k):
-    """For one increasing tuple, the matrices of v -> bracket with v in
-    slot i and twist^k applied to every other (basis) slot."""
-    d, n = alg.dim, alg.arity
-    out = []
-    for i in range(n):
-        cols = [alg.twist_column_sparse(key[j], k) for j in range(n)]
-        entries = {
-            (r, c): v
-            for c in range(d)
-            for r, v in bracket_eval_sparse(alg, cols[:i] + [{c: ONE}] + cols[i + 1:]).items()
-        }
-        out.append(linalg.SparseMatrix(d, d, entries))
-    return out
+def _leibniz_matrix(alg: HomNambuAlgebra, k: int) -> linalg.SparseMatrix:
+    """The degree-0 coboundary of the level-k action on flattened D: row
+    block t is sum_i [a^k x_1, ..., D x_i, ..., a^k x_n] - D([x]) at the
+    t-th increasing n-tuple x."""
+    m = cochains.coboundary_matrix(alg, level_representation(alg, k), 0, "split", "fused")
+    return row_major(m, alg.dim)
 
 
 def derivation_violations(alg: HomNambuAlgebra, matrix, k: int):
     """Exhaustive check of twist commutation and the level-k Leibniz rule.
 
     Returns violations; ``("twist_commutation", diff)`` for the first
-    condition, ``(key, diff)`` per failing bracket tuple for the second.
+    condition, ``(key, diff)`` per failing bracket tuple for the second,
+    with diff = D([x]) - sum_i [a^k x_1, ..., D x_i, ..., a^k x_n].
     """
-    if k < -1:
-        raise LevelUnderflowError(k)
     d = alg.dim
+    defect = linalg.sparse_mat_vec(
+        _leibniz_matrix(alg, k), [matrix[r, c] for r in range(d) for c in range(d)]
+    )
     violations = []
     comm = linalg.matmul(matrix, alg.twist) - linalg.matmul(alg.twist, matrix)
     if not linalg.is_zero_matrix(comm):
         violations.append(("twist_commutation", comm))
-    for key in wedge_basis(d, alg.arity):
-        lhs = linalg.sparse_mat_vec(matrix, alg.bracket_basis(key))
-        rhs = [Fraction(0)] * d
-        for i, slot in enumerate(_slot_matrices(alg, key, k)):
-            img = linalg.sparse_mat_vec(slot, sv_to_dense(matrix.column(key[i]), d))
-            rhs = [a + b for a, b in zip(rhs, img)]
-        diff = tuple(a - b for a, b in zip(lhs, rhs))
+    for t, key in enumerate(wedge_basis(d, alg.arity)):
+        diff = tuple(-v for v in defect[t * d:(t + 1) * d])
         if any(diff):
             violations.append((key, diff))
     return violations
 
 
 def derivation_space(alg: HomNambuAlgebra, k: int) -> linalg.SubspaceBasis:
-    """Canonical basis of all level-k derivations, as flattened matrices.
-
-    Both defining conditions are linear in the d^2 entries of D; the
-    space is the kernel of the stacked constraint matrix.
-    """
-    if k < -1:
-        raise LevelUnderflowError(k)
-    d, n = alg.dim, alg.arity
-    keys = wedge_basis(d, n)
-    m = linalg.SparseMatrix((d + len(keys)) * d, d * d, commutation_matrix(alg).entries)
-    # twisted Leibniz rule per increasing tuple, per output component
-    for t, key in enumerate(keys):
-        value = alg.bracket_basis(key)
-        slots = _slot_matrices(alg, key, k)
-        for r in range(d):
-            row = (d + t) * d + r
-            for j in range(d):
-                m.add(row, r * d + j, value[j])
-            for i in range(n):
-                for j in range(d):
-                    m.add(row, j * d + key[i], -slots[i][r, j])
-    return linalg.kernel_basis(m)
+    """Canonical basis of all level-k derivations, as flattened matrices:
+    the degree-0 cocycles of the level-k action that commute with the
+    twist."""
+    return linalg.kernel_basis(linalg.stack(_leibniz_matrix(alg, k), commutation_matrix(alg)))
 
 
 def inner_derivation(alg: HomNambuAlgebra, xs, k: int) -> Derivation:
@@ -188,13 +172,22 @@ def trivial_representation(alg: HomNambuAlgebra) -> RepresentationMap:
     return RepresentationMap(arity=alg.arity, dim=1, rho={}, nu=linalg.eye(1))
 
 
-def adjoint_representation(alg: HomNambuAlgebra) -> RepresentationMap:
-    """V = L with rho(x) = L(x) = [x_1, ..., x_{n-1}, .] and nu the twist."""
+def level_representation(alg: HomNambuAlgebra, k: int) -> RepresentationMap:
+    """V = L with rho(x) = [a^k(x_1), ..., a^k(x_{n-1}), .] and nu the
+    twist: the level-k action, rho = 0 at k = -1 where a^(-1) = 0."""
+    if k < -1:
+        raise LevelUnderflowError(k)
+    moved = [alg.twist_apply(alg.basis_vector(i), k) for i in range(alg.dim)]
     rho = {
-        key: ad_matrix(alg, [alg.basis_vector(i) for i in key])
+        key: ad_matrix(alg, [moved[i] for i in key])
         for key in wedge_basis(alg.dim, alg.arity - 1)
     }
     return RepresentationMap(arity=alg.arity, dim=alg.dim, rho=rho, nu=alg.twist)
+
+
+def adjoint_representation(alg: HomNambuAlgebra) -> RepresentationMap:
+    """V = L with rho(x) = L(x) = [x_1, ..., x_{n-1}, .] and nu the twist."""
+    return level_representation(alg, 0)
 
 
 def _rho_eval(rep: RepresentationMap, sparse_args) -> linalg.SparseMatrix:

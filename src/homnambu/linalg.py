@@ -333,6 +333,15 @@ def sparse_mat_vec(a: SparseMatrix, x) -> tuple:
     return tuple(out)
 
 
+def stack(top: SparseMatrix, bottom: SparseMatrix) -> SparseMatrix:
+    """The rows of ``top`` followed by the rows of ``bottom``."""
+    if top.cols != bottom.cols:
+        raise LinAlgError("shape mismatch in stack")
+    entries = dict(top.entries)
+    entries.update(((top.rows + r, c), v) for (r, c), v in bottom.entries.items())
+    return SparseMatrix(top.rows + bottom.rows, top.cols, entries)
+
+
 def restrict_columns(m: SparseMatrix, basis: SubspaceBasis) -> SparseMatrix:
     """``m`` on span(basis): column j is ``m`` applied to basis vector j."""
     return sparse_matmul(m, basis.matrix().T)

@@ -8,17 +8,19 @@ covectors, and the p = 0 case of the operator is (d phi) = -phi([...]),
 which is exactly the potential equation used in the Filippov example.
 
 Operators are assembled as sparse matrices whose rows are canonical
-output tuples, so d(p+1) o d(p) = 0 is an exact matrix statement.
+output tuples, so d(p+1) o d(p) = 0 is an exact matrix statement.  The
+report is the shared :func:`cochains.cohomology` of this module's
+:func:`coboundary_matrix`, with no compatibility rows.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from . import cochains, linalg
 from .algebra import HomNambuAlgebra
-from .cochains import Cochain, CochainSpace, operator_respects_fusion
+from .cochains import Cochain, CochainSpace
 from .derivations import trivial_representation
 from .indices import levi_civita, wedge_basis
 
@@ -29,18 +31,6 @@ class NotACocycleError(ValueError):
     def __init__(self, triple):
         self.triple = triple
         super().__init__(f"not a cocycle: coboundary is nonzero at {triple}")
-
-
-@dataclass
-class CohomologyReport:
-    degree: int
-    dim_c: int
-    dim_z: int
-    dim_b: int
-    dim_h: int
-    cocycle_basis: linalg.SubspaceBasis
-    coboundary_basis: linalg.SubspaceBasis
-    mode: str = "fused"
 
 
 def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.SparseMatrix:
@@ -62,38 +52,12 @@ def coboundary_matrix(
     return cochains.coboundary_matrix(alg, trivial_representation(alg), p, mode, out_mode)
 
 
-def apply_coboundary(alg: HomNambuAlgebra, phi: Cochain, out_mode: str | None = None) -> Cochain:
-    p = phi.space.degree
-    m = coboundary_matrix(alg, p, phi.space.mode, out_mode)
-    space_out = CochainSpace(alg, p + 1, "scalar", out_mode or phi.space.mode)
-    return Cochain.from_flat(space_out, linalg.sparse_mat_vec(m, phi.to_flat()))
-
-
-def coboundary_preserves_fusion(alg: HomNambuAlgebra, p: int) -> bool:
-    """Does the coboundary send fused cochains to fused cochains?
-
-    Checked by evaluating the operator into the split space and testing
-    every image column for skewness across the last block and final slot.
-    """
-    m = coboundary_matrix(alg, p, "fused", out_mode="split")
-    space_split = CochainSpace(alg, p + 1, "scalar", "split")
-    return operator_respects_fusion(space_split, m)
-
-
-def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> CohomologyReport:
-    """Cocycles, coboundaries and their quotient at degree p.
-
-    Cocycles are computed pointwise (kernel of the operator evaluated in
-    the split space), so the answer does not presuppose that the image
-    stays in the fused space; the containment check in quotient_dim
-    would surface any such defect.
-    """
-    if p < 0:
-        raise ValueError("degree must be >= 0")
-    delta = coboundary_matrix(alg, p, mode, "split")
-    prev = coboundary_matrix(alg, p - 1, mode) if p else linalg.SparseMatrix(alg.dim, 0, {})
-    z, b, dim_h = linalg.homology(delta, prev)
-    return CohomologyReport(p, delta.cols, z.dim, b.dim, dim_h, z, b, mode)
+def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> cochains.CohomologyReport:
+    """Cocycles, coboundaries and their quotient at degree p >= 0, on all
+    cochains: :func:`cochains.cohomology` of this module's operator
+    (this module's name, so that wrappers installed on it see both
+    operators of the report)."""
+    return cochains.cohomology(p, mode, partial(coboundary_matrix, alg))
 
 
 # -- central extensions -------------------------------------------------------

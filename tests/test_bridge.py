@@ -7,12 +7,11 @@ from fractions import Fraction
 
 from homnambu import fixtures, linalg
 from homnambu.adjoint_cohomology import (
-    apply_coboundary as adjoint_apply,
     equivariant_matrix_space,
     random_equivariant_cochain,
 )
 from homnambu.algebra import HomNambuAlgebra, is_valid, zero_algebra
-from homnambu.cochains import CochainSpace, coboundary_matrix
+from homnambu.cochains import CochainSpace, apply_coboundary, coboundary_matrix
 from homnambu.derivations import adjoint_representation
 from homnambu.bridge import (
     BridgeCochain,
@@ -249,7 +248,7 @@ def test_bridge_coboundary_matches_wedge_complex_on_pullbacks():
         leib = tensor_fundamental_of(alg)
         psi = random_equivariant_cochain(alg, 1, rng)
         lhs = bridge_coboundary(pullback_wedge_cochain(alg, leib, psi))
-        dpsi = adjoint_apply(alg, psi, out_mode="split")
+        dpsi = apply_coboundary(adjoint_representation(alg), psi, out_mode="split")
         rhs = pullback_wedge_cochain(alg, leib, dpsi)
         assert lhs.coeffs == rhs.coeffs
 

@@ -1,6 +1,7 @@
 """Derivation spaces, inner derivations, commutators, representations."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -99,6 +100,41 @@ def test_derivation_space_members_verify():
     for flat in space.vectors:
         m = unflatten_matrix(flat, alg.dim)
         assert derivation_violations(alg, m, 1) == []
+
+
+@pytest.mark.parametrize(
+    "alg",
+    [
+        fixtures.solvable_d4(),
+        fixtures.perturbed_filippov(),
+        fixtures.twisted_filippov_rotation(),
+        zero_algebra(3, 3),
+    ],
+    ids=["solvable_d4", "perturbed_filippov", "twisted_filippov_rotation", "zero_d3_n3"],
+)
+def test_derivation_violations_match_pointwise_reference(alg):
+    # the defect D([x]) - sum_i [a^k x_1, ..., D x_i, ..., a^k x_n], per
+    # increasing tuple, evaluated bracket by bracket on random matrices
+    d, n = alg.dim, alg.arity
+    rng = random.Random(11)
+    for k in (-1, 0, 1, 2):
+        alpha_k = alg.twist_power(k)
+        for _ in range(3):
+            m = linalg.mat([[rng.randint(-2, 2) for _ in range(d)] for _ in range(d)])
+            expected = []
+            comm = linalg.matmul(m, alg.twist) - linalg.matmul(alg.twist, m)
+            if not linalg.is_zero_matrix(comm):
+                expected.append(("twist_commutation", comm))
+            for key in itertools.combinations(range(d), n):
+                basis = [alg.basis_vector(i) for i in key]
+                diff = linalg.sparse_mat_vec(m, bracket_eval(alg, basis))
+                for i in range(n):
+                    args = [linalg.sparse_mat_vec(alpha_k, v) for v in basis]
+                    args[i] = linalg.sparse_mat_vec(m, basis[i])
+                    diff = tuple(a - b for a, b in zip(diff, bracket_eval(alg, args)))
+                if any(diff):
+                    expected.append((key, diff))
+            assert derivation_violations(alg, m, k) == expected, k
 
 
 def test_level_minus_one_kills_brackets():

@@ -187,7 +187,7 @@ def test_equivariant_cocycles_equal_kernel_on_equivariant_basis(name, p):
     report = adjoint_cohomology.cohomology(alg, p)
     assert report.cocycle_basis.vectors == ref
     assert report.cocycle_basis.ambient_dim == delta.cols
-    assert report.dim_equivariant == equi.dim
+    assert report.dim_compatible == equi.dim
     if name != "volume_form_d3_twisted":
         assert (equi.dim, delta.cols) == ((8, 16), (48, 96))[p - 1]
 

@@ -6,6 +6,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -34,17 +35,13 @@ def compatible(alg, rep, p):
 
 
 def dims(alg, rep, p, restrict):
-    """(dim Z, dim B, dim H) at p >= 2, inside the compatible cochains
-    when ``restrict``."""
-    delta = operator(alg, rep, p, "fused", "split")
-    prev = operator(alg, rep, p - 1)
-    if restrict:
-        equi = cochains.equivariance_matrix(alg, rep, p)
-        rows = {(delta.rows + r, c): v for (r, c), v in equi.entries.items()}
-        delta = linalg.SparseMatrix(delta.rows + equi.rows, delta.cols, {**delta.entries, **rows})
-        prev = linalg.restrict_columns(prev, compatible(alg, rep, p - 1))
-    z, b, dim_h = linalg.homology(delta, prev)
-    return z.dim, b.dim, dim_h
+    """(dim Z, dim B, dim H) of the shared report at p >= 2, inside the
+    compatible cochains when ``restrict``."""
+    compatibility = partial(cochains.equivariance_matrix, alg, rep) if restrict else None
+    report = cochains.cohomology(
+        p, "fused", partial(cochains.coboundary_matrix, alg, rep), compatibility
+    )
+    return report.dim_z, report.dim_b, report.dim_h
 
 
 def d_squared_is_zero(alg, rep, p, restrict=False):
