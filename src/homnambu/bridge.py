@@ -26,21 +26,26 @@ part of the cochain definition the four-term operator comes from, and
 dropping it breaks the square for non-trivial twists), which transports
 d o d = 0 into the four-term complex.
 
-The four kernels (both coboundaries and both lifts) are matrix-free and
-share the term lists of :mod:`homnambu.cochains`: each output key gets
-``(pairs, sign)`` scalar terms, ``pairs`` being ``(key, weight)``, and
-``(key, weight, op)`` map terms; each weight is one lookup of phi's
-stored value at a basis tuple, scaled or pushed through a linear map
-``op = {m: vector}``, and :func:`cochains.evaluate_terms` sums them.
-The four-term coboundary is not restated here: it is
+The Leibniz coboundary and both lifts scatter from phi's stored keys:
+each formula is read backwards, from one stored key u to the output
+keys its value phi(u) adds to, through inverse tables built once per
+call.  Left and right multiplication by x_a = a^(p-1)(b_a) become
+m -> [(a, weight, bracket cell)], so [x_a, phi(u)] and [phi(u), x_a]
+are formed once per key; the twist becomes t -> [(a, w)], the bracket
+t -> [(a, b, w)] and the block basis x -> [(t, s)].  Each output key is
+summed in one dict, and a sum is dropped as soon as it cancels to zero,
+so the work follows phi's support instead of all dim^(p+1) output
+tuples.
+:func:`leibniz_coboundary_matrix` is built column by column from the
+same per-key statement, each column being the image of one basis
+cochain.  The four-term coboundary is not restated here: it is
 :func:`cochains.coboundary_terms` in the internal ``tensor`` mode (the
 split layout over tensor blocks, no canonicalization) with adjoint
-values, and the equivariance test is
-:func:`cochains.compatibility_violations` in the same mode.
-:func:`leibniz_coboundary_matrix` is :func:`cochains.term_matrix` of the
-Leibniz term list.  Integral values
-(tensor table, twist and L-action columns, phi's values) are Python
-ints; other rationals stay ``Fraction``, so results are exact.
+values, summed by :func:`cochains.evaluate_terms`, and the equivariance
+test is :func:`cochains.compatibility_violations` in the same mode.
+Integral values (tensor table, twist and L-action columns, phi's
+values) are Python ints; other rationals stay ``Fraction``, so results
+are exact.
 """
 
 from __future__ import annotations
@@ -52,7 +57,7 @@ from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .cochains import coboundary_terms, compatibility_violations, evaluate_terms, term_matrix
+from .cochains import coboundary_terms, compatibility_violations, evaluate_terms
 from .derivations import adjoint_representation
 from .fundamental import HomLeibnizAlgebra, fundamental_of
 # kept reachable here: layerbench/tracing.py TARGETS wraps both by name in bridge
@@ -91,8 +96,9 @@ def wedge_projection(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra):
 @dataclass
 class LeibnizCochain:
     """Plain multilinear map on p-tuples of Leibniz-algebra elements with
-    values in the algebra; no symmetry is imposed.  Degree 0 is a single
-    element, stored at the empty tuple."""
+    values in the Leibniz algebra (sparse tensor-block coordinates); no
+    symmetry is imposed.  Degree 0 is a single element, stored at the
+    empty tuple."""
 
     leib: HomLeibnizAlgebra
     degree: int
@@ -106,68 +112,127 @@ class LeibnizCochain:
         return all(not v for v in self.coeffs.values())
 
 
-def _leib_alpha_power(leib: HomLeibnizAlgebra, k: int):
-    cols = [{i: 1} for i in range(leib.dim)]
-    for _ in range(k):
-        cols = [leib.twist_sparse(c) for c in cols]
-    return cols
+def _add_scaled(acc: dict, key, w, vec: dict) -> None:
+    """``acc[key] += w * vec``, one sum dict per key; components and keys
+    that sum to zero are dropped at once (d of a lifted cochain touches
+    several times the entries it keeps)."""
+    target = acc.get(key)
+    if target is None:
+        target = acc[key] = {}
+    for r, c in vec.items():
+        if new := target.get(r, 0) + w * c:
+            target[r] = new
+        else:
+            del target[r]
+    if not target:
+        del acc[key]
 
 
-def _multiplications(leib: HomLeibnizAlgebra, p: int):
-    """Left and right multiplication by a^(p-1)(b_a) (a^0 in degree 0) as
-    ``{m: [x, b_m]}`` and ``{m: [b_m, x]}`` maps, one per basis index a."""
-    left, right = [], []
-    for x in _leib_alpha_power(leib, max(p - 1, 0)):
-        left.append({m: v for m in range(leib.dim) if (v := leib.bracket_sparse(x, {m: 1}))})
-        right.append({m: v for m in range(leib.dim) if (v := leib.bracket_sparse({m: 1}, x))})
-    return left, right
+def _compact(acc: dict) -> dict:
+    """``acc`` with every dict rebuilt to the size of its entries: a dict
+    keeps the room its cancelled entries took."""
+    for key, vec in acc.items():
+        acc[key] = {r: v for r, v in vec.items()}
+    return dict(acc)
 
 
-def _leibniz_terms(leib: HomLeibnizAlgebra, p: int, args, left, right):
-    """Term list of (d phi)(args) over phi's values at p-tuples (the empty
-    tuple in degree 0, where only the second sum survives)."""
-    maps = [  # (-1)^(k-1) [a^(p-1)(a_k), phi(..., ^a_k, ...)], 1-based k <= p
-        (args[:k] + args[k + 1:], 1 if k % 2 == 0 else -1, left[args[k]]) for k in range(p)
-    ]
-    maps.append((args[:p], 1 if p % 2 else -1, right[args[p]]))  # (-1)^(p+1)
-    scalars = []
-    for k in range(p + 1):
-        sk = -1 if k % 2 == 0 else 1  # (-1)^k, 1-based
-        for j in range(k + 1, p + 1):
-            bracket = leib.table[args[k]][args[j]]
-            if bracket:
-                vecs = [leib.twist_cols[args[t]] for t in range(p + 1) if t != k]
-                vecs[j - 1] = bracket
-                scalars.append((expand(vecs), sk))
-    return scalars, maps
+def _leibniz_tables(leib: HomLeibnizAlgebra, p: int):
+    """The degree-p coboundary read backwards, from phi's value at one
+    key to the terms it feeds, with x_a = a^(p-1)(b_a) (a^0 in degree 0)
+    and [x_a, b_m] = sum_i x_a[i] [b_i, b_m] read off the bracket table:
+
+    * ``left[m]``: ``(a, x_a[i], [b_i, b_m])`` and ``right[m]``:
+      ``(a, x_a[i], [b_m, b_i])``, the cells shared with ``leib.table``;
+    * ``twist[t]``: ``(a, w)`` where a(b_a) has w at b_t;
+    * ``bracket[t]``: ``(a, b, w)`` where [b_a, b_b] has w at b_t.
+    """
+    dim, table = leib.dim, leib.table
+    xs = [{a: 1} for a in range(dim)]
+    for _ in range(max(p - 1, 0)):
+        xs = [leib.twist_sparse(x) for x in xs]
+    left, right, twist, bracket = ([[] for _ in range(dim)] for _ in range(4))
+    for a, x in enumerate(xs):
+        for i, w in x.items():
+            for m in range(dim):
+                if table[i][m]:
+                    left[m].append((a, w, table[i][m]))
+                if table[m][i]:
+                    right[m].append((a, w, table[m][i]))
+    for a, col in enumerate(leib.twist_cols):
+        for t, w in col.items():
+            twist[t].append((a, w))
+    for a, row in enumerate(table):
+        for b, cell in enumerate(row):
+            for t, w in cell.items():
+                bracket[t].append((a, b, w))
+    return left, right, twist, bracket
+
+
+def _scatter_leibniz(tables, p: int, u: tuple, vec: dict, acc: dict) -> None:
+    """Add to ``acc`` every term of d phi that reads phi at the p-tuple
+    ``u``, where phi(u) = ``vec`` (1-based k, j as in the module
+    docstring)."""
+    left, right, twist, bracket = tables
+    lmul, rmul = {}, {}  # a -> [x_a, phi(u)] and a -> [phi(u), x_a]
+    for m, c in vec.items():
+        for a, w, cell in left[m]:
+            _add_scaled(lmul, a, w * c, cell)
+        for a, w, cell in right[m]:
+            _add_scaled(rmul, a, w * c, cell)
+    # (-1)^(k-1) [x_a, phi(u)] at u with a inserted in slot k <= p
+    for a, col in lmul.items():
+        for k in range(p):
+            _add_scaled(acc, u[:k] + (a,) + u[k:], 1 if k % 2 == 0 else -1, col)
+    # (-1)^(p+1) [phi(u), x_a] at (u, a)
+    sign = 1 if p % 2 else -1
+    for a, col in rmul.items():
+        _add_scaled(acc, u + (a,), sign, col)
+    # (-1)^k phi(..., [a_k, a_j], ...): slot j-1 of u is read off the
+    # bracket, every other slot off the twist; a goes to slot k < j, b to j
+    twisted = [twist[x] for x in u]
+    for j in range(1, p + 1):
+        for choice in itertools.product(*twisted[:j - 1], bracket[u[j - 1]], *twisted[j:]):
+            a = choice[j - 1][0]
+            args, w = [], 1
+            for item in choice:  # (a', w') from the twist, (a, b, w') from the bracket
+                args.append(item[-2])
+                w *= item[-1]
+            args = tuple(args)
+            for k in range(j):
+                _add_scaled(acc, args[:k] + (a,) + args[k:], -w if k % 2 == 0 else w, vec)
 
 
 def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: LeibnizCochain) -> LeibnizCochain:
     """The twisted Loday-Pirashvili coboundary; degree 0 sends an
     element c to a -> -[c, a]."""
     p = phi.degree
-    left, right = _multiplications(leib, p)
-    out = evaluate_terms(
-        _exact_values(phi.coeffs),
-        itertools.product(range(leib.dim), repeat=p + 1),
-        lambda args: _leibniz_terms(leib, p, args, left, right),
-    )
-    return LeibnizCochain(leib, p + 1, out)
+    tables = _leibniz_tables(leib, p)
+    acc = {}
+    for u, vec in phi.coeffs.items():
+        if vec := exact_vec(vec):
+            _scatter_leibniz(tables, p, u, vec, acc)
+    return LeibnizCochain(leib, p + 1, _compact(acc))
 
 
 def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseMatrix:
     """Operator matrix over lex-ordered tuple coordinates: component m of
     phi at the k-th p-tuple is column k * dim + m, component r of d phi at
-    the k-th (p+1)-tuple is row k * dim + r.  The row count is
-    dim^(p+2), so it is meant for small algebras."""
+    the k-th (p+1)-tuple is row k * dim + r.  Column by column, each the
+    image of one basis cochain; the row count is dim^(p+2), so it is
+    meant for small algebras."""
     dim = leib.dim
-    left, right = _multiplications(leib, p)
-    index = {t: k for k, t in enumerate(itertools.product(range(dim), repeat=p))}
-    return term_matrix(
-        list(itertools.product(range(dim), repeat=p + 1)),
-        lambda args: _leibniz_terms(leib, p, args, left, right),
-        index, dim, dim ** (p + 1),
-    )
+    tables = _leibniz_tables(leib, p)
+    entries = {}
+    for k, u in enumerate(itertools.product(range(dim), repeat=p)):
+        for m in range(dim):
+            acc = {}
+            _scatter_leibniz(tables, p, u, {m: 1}, acc)
+            for key, vec in acc.items():
+                row = 0
+                for a in key:
+                    row = row * dim + a
+                entries.update(((row * dim + r, k * dim + m), v) for r, v in vec.items())
+    return linalg.SparseMatrix(dim ** (p + 2), dim ** (p + 1), entries)
 
 
 # -- cochains with tensor blocks plus one algebra slot ------------------------
@@ -221,17 +286,25 @@ def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
 # -- the lift -----------------------------------------------------------------
 
 
-def _lift(phi: BridgeCochain, ops) -> LeibnizCochain:
-    """(lift phi)(args) = sum over slots s of ops[args[-1]][s] applied to
-    phi(args[:-1], x^s), where args[-1] is the block x^1 x ... x x^(n-1)."""
-    leib, p = phi.leib, phi.degree
-
-    def terms(args):
-        last = leib.basis[args[p]]
-        return (), [(args[:p] + (last[s],), 1, op) for s, op in enumerate(ops[args[p]])]
-
-    keys = itertools.product(range(leib.dim), repeat=p + 1)
-    return LeibnizCochain(leib, p + 1, evaluate_terms(phi.stored_values(), keys, terms))
+def _scatter_lift(phi: BridgeCochain, ops) -> LeibnizCochain:
+    """(lift phi)(u, t) = sum over slots s of ops[t][s] applied to
+    phi(u, x^s), where t is the block x^1 x ... x x^(n-1); read from
+    phi's side, a stored key (u, x) adds ops[t][s](phi(u, x)) to (u, t)
+    for every block t with x in slot s."""
+    leib = phi.leib
+    blocks = [[] for _ in range(phi.alg.dim)]  # x -> [(t, s)] with leib.basis[t][s] == x
+    for t, block in enumerate(leib.basis):
+        for s, x in enumerate(block):
+            blocks[x].append((t, s))
+    acc = {}
+    for key, vec in phi.coeffs.items():
+        vec, u = exact_vec(vec), key[:-1]
+        for t, s in blocks[key[-1]]:
+            op = ops[t][s]
+            for m, c in vec.items():
+                if col := op.get(m):
+                    _add_scaled(acc, u + (t,), c, col)
+    return LeibnizCochain(leib, phi.degree + 1, _compact(acc))
 
 
 def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
@@ -245,7 +318,7 @@ def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
         [_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)]
         for t in leib.basis
     ]
-    return _lift(phi, ops)
+    return _scatter_lift(phi, ops)
 
 
 def delta_lift_ternary(phi: BridgeCochain) -> LeibnizCochain:
@@ -260,7 +333,7 @@ def delta_lift_ternary(phi: BridgeCochain) -> LeibnizCochain:
     # phi(..., x1) (x) a^p(x2) + a^p(x1) (x) phi(..., x2)
     first = [_slot_map(tensor, [None, alpha_p[x]], 0, d) for x in range(d)]
     second = [_slot_map(tensor, [alpha_p[x], None], 1, d) for x in range(d)]
-    return _lift(phi, [(first[x2], second[x1]) for x1, x2 in leib.basis])
+    return _scatter_lift(phi, [(first[x2], second[x1]) for x1, x2 in leib.basis])
 
 
 def check_commuting_square(phi: BridgeCochain):

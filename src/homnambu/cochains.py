@@ -50,7 +50,9 @@ a combination of stored keys given as ``(key, weight)`` pairs, map terms
 ``(key, w, op)`` push psi at one key through a linear map of V.
 :func:`term_matrix` assembles a term list into a sparse matrix and
 :func:`evaluate_terms` applies it pointwise to stored values; the
-Leibniz complex of :mod:`homnambu.bridge` uses the same two.
+four-term coboundary of :mod:`homnambu.bridge` is the tensor-mode term
+list under :func:`evaluate_terms` (its Leibniz complex and lift are
+stated there, scattered from stored keys).
 
 Compatible cochains satisfy nu o psi = psi o a: the kernel of
 :func:`equivariance_matrix`, checked pointwise by

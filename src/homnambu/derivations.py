@@ -186,8 +186,13 @@ def level_representation(alg: HomNambuAlgebra, k: int) -> RepresentationMap:
 
 
 def adjoint_representation(alg: HomNambuAlgebra) -> RepresentationMap:
-    """V = L with rho(x) = L(x) = [x_1, ..., x_{n-1}, .] and nu the twist."""
-    return level_representation(alg, 0)
+    """V = L with rho(x) = L(x) = [x_1, ..., x_{n-1}, .] and nu the twist,
+    memoized on the algebra like ``fundamental_of``: algebras are
+    immutable once built, and no caller mutates ``rho`` or ``nu``."""
+    cached = getattr(alg, "_adjoint", None)
+    if cached is None:
+        cached = alg._adjoint = level_representation(alg, 0)
+    return cached
 
 
 def _rho_eval(rep: RepresentationMap, sparse_args) -> linalg.SparseMatrix:

@@ -5,6 +5,8 @@ import math
 import random
 from fractions import Fraction
 
+import pytest
+
 from homnambu import fixtures, linalg
 from homnambu.adjoint_cohomology import (
     equivariant_matrix_space,
@@ -29,8 +31,8 @@ from homnambu.bridge import (
     tensor_fundamental_of,
     wedge_projection,
 )
-from homnambu.fundamental import check_hom_leibniz, fundamental_of
-from homnambu.indices import sv_add
+from homnambu.fundamental import check_hom_leibniz, fundamental_of, tensor_of_vectors
+from homnambu.indices import expand, sv_add
 
 ONE = Fraction(1)
 
@@ -390,3 +392,112 @@ def test_leibniz_matrix_agrees_with_pointwise():
                 via_matrix = linalg.sparse_mat_vec(m, flat_leibniz(phi, 9))
                 pointwise = leibniz_coboundary(leib, phi)
                 assert list(via_matrix) == flat_leibniz(pointwise, 9)
+
+
+# -- slow literal references for the scattered kernels ------------------------
+
+
+def reference_leibniz_coboundary(leib, phi):
+    """(d phi)(a_1, ..., a_{p+1}) at every basis tuple, term by term as
+    the bridge docstring writes it (1-based k, j), with phi extended
+    multilinearly and the twist powers applied to basis vectors."""
+    p = phi.degree
+
+    def phi_at(vectors):
+        out = {}
+        for ids, w in expand(vectors):
+            for r, v in phi.coeffs.get(ids, {}).items():
+                sv_add(out, r, w * v)
+        return out
+
+    def x(a):  # a^(p-1)(b_a); a^0 in degree 0, where (d phi)(a) = -[phi, a]
+        vec = {a: 1}
+        for _ in range(max(p - 1, 0)):
+            vec = leib.twist_sparse(vec)
+        return vec
+
+    out = {}
+    for args in itertools.product(range(leib.dim), repeat=p + 1):
+        e = [{a: 1} for a in args]
+        total = {}
+        for k in range(1, p + 1):
+            rest = e[:k - 1] + e[k:]
+            for r, v in leib.bracket_sparse(x(args[k - 1]), phi_at(rest)).items():
+                sv_add(total, r, (-1) ** (k - 1) * v)
+        for r, v in leib.bracket_sparse(phi_at(e[:p]), x(args[p])).items():
+            sv_add(total, r, (-1) ** (p + 1) * v)
+        for k in range(1, p + 2):
+            for j in range(k + 1, p + 2):
+                vecs = [leib.twist_sparse(e[i]) for i in range(p + 1) if i != k - 1]
+                vecs[j - 2] = leib.bracket_sparse(e[k - 1], e[j - 1])
+                for r, v in phi_at(vecs).items():
+                    sv_add(total, r, (-1) ** k * v)
+        if total:
+            out[args] = total
+    return out
+
+
+def reference_lift(phi):
+    """(lift phi)(a_1, ..., a_p, x^1 x ... x x^(n-1)) at every basis
+    tuple: sum_i a^p(x^1) x ... x phi(a_1, ..., a_p, x^i) x ... x a^p(x^(n-1))."""
+    alg, leib, p = phi.alg, phi.leib, phi.degree
+    alpha_p = [alg.twist_column_sparse(i, p) for i in range(alg.dim)]
+    out = {}
+    for args in itertools.product(range(leib.dim), repeat=p):
+        blocks = [{a: 1} for a in args]
+        for t, block in enumerate(leib.basis):
+            total = {}
+            for i, xi in enumerate(block):
+                factors = [alpha_p[y] for y in block]
+                factors[i] = phi.evaluate(blocks, {xi: 1})
+                for r, v in tensor_of_vectors(leib.index, factors).items():
+                    sv_add(total, r, v)
+            if total:
+                out[args + (t,)] = total
+    return out
+
+
+def random_value(rng, dim, rational):
+    vec = {r: Fraction(rng.randint(-3, 3), rng.randint(1, 3) if rational else 1)
+           for r in range(dim) if rng.random() < 0.4}
+    return {r: (v if rational else int(v)) for r, v in vec.items() if v}
+
+
+REFERENCE_ALGEBRAS = {
+    "filippov_n3": fixtures.filippov_n3,
+    "twisted_filippov_rotation": fixtures.twisted_filippov_rotation,
+    "volume_form_d3_twisted": fixtures.volume_form_d3_twisted,
+    "zero_algebra_3_3": lambda: zero_algebra(3, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_ALGEBRAS))
+def test_scattered_kernels_match_literal_references(name):
+    alg = REFERENCE_ALGEBRAS[name]()
+    leib = tensor_fundamental_of(alg)
+    rng = random.Random(67)
+    for p in (0, 1, 2):
+        for rational in (False, True):
+            # a sparse Leibniz cochain on random p-tuples
+            coeffs = {
+                tuple(rng.randrange(leib.dim) for _ in range(p)):
+                    random_value(rng, leib.dim, rational)
+                for _ in range(10 if p else 1)
+            }
+            phi = LeibnizCochain(leib, p, {k: v for k, v in coeffs.items() if v})
+            assert phi.coeffs
+            assert leibniz_coboundary(leib, phi).coeffs == reference_leibniz_coboundary(leib, phi)
+            # a bridge cochain on every key, and the Leibniz cochain it lifts to
+            values = {}
+            for args in itertools.product(range(leib.dim), repeat=p):
+                for z in range(alg.dim):
+                    if vec := random_value(rng, alg.dim, rational):
+                        values[args + (z,)] = vec
+            psi = BridgeCochain(alg, leib, p, values)
+            lifted = delta_lift(psi)
+            assert lifted.coeffs == reference_lift(psi)
+            assert delta_lift_ternary(psi).coeffs == lifted.coeffs
+            if p < 2:  # the literal d of a degree-3 lift would visit dim^4 tuples
+                assert leibniz_coboundary(leib, lifted).coeffs == reference_leibniz_coboundary(
+                    leib, lifted
+                )

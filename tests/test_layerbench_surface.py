@@ -68,6 +68,7 @@ def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
         "bridge.tensor_fundamental",
         "bridge.bridge_coboundary",
         "bridge.leibniz_coboundary",
+        "bridge.delta_lift",
         "cochains.functional",
     ):
         assert name in names
