@@ -23,6 +23,12 @@ changes neither the twist (to first order) nor the validity of the
 fundamental identity, so the defect is precisely the tangent direction
 of a change of basis; reports expose the choice by also stating the
 no-degree-zero-boundaries count.
+
+A degree-1 psi is an infinitesimal deformation when bracket + t psi
+satisfies the fundamental identity to first order in t.  By bilinearity
+of :func:`algebra.fundamental_identity_defects` that t-linear defect is
+the pairs (bracket, psi) and (psi, bracket); it equals d psi key by key,
+and the deformation check asserts that both verdicts agree.
 """
 
 from __future__ import annotations
@@ -31,12 +37,11 @@ import random
 from fractions import Fraction
 from functools import partial
 
-from . import cochains, linalg
+from . import algebra, cochains, linalg
 from .algebra import AlgebraError, HomNambuAlgebra, bracket_eval_sparse
 from .cochains import Cochain, CochainSpace
 from .derivations import adjoint_representation, commutation_matrix, row_major
 from .fundamental import wedge_of_vectors
-from .indices import sv_add, wedge_basis
 
 ONE = Fraction(1)
 ZERO = Fraction(0)
@@ -107,78 +112,25 @@ def cohomology(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> cochains.Co
 # -- infinitesimal deformations ----------------------------------------------
 
 
-def dual_number_bracket(alg: HomNambuAlgebra, psi: Cochain, args):
-    """Evaluate the deformed bracket on dual numbers (t^2 = 0):
-    returns (bracket value, coefficient of t)."""
-    if psi.space.degree != 1:
-        raise ValueError("deformation cochains have degree 1")
-    from .algebra import bracket_eval
-
-    n = alg.arity
-    if len(args) != n:
-        raise ValueError("argument count mismatch")
-    value = bracket_eval(alg, args)
-    sparse = [{i: v for i, v in enumerate(linalg.vec(a)) if v} for a in args]
-    w = wedge_of_vectors(psi.space.windex, sparse[: n - 1])
-    t_coeff = psi.evaluate([w], sparse[n - 1])
-    return value, t_coeff
-
-
 def deformation_residuals(alg: HomNambuAlgebra, psi: Cochain):
-    """t-linear part of the fundamental identity for bracket + t psi,
-    evaluated on increasing basis tuples; returns [(x, y, residual)]."""
-    d, n = alg.dim, alg.arity
-    space = psi.space
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    out = []
-    for x in wedge_basis(d, n - 1):
-        wx_alpha = wedge_of_vectors(space.windex, [alpha_cols[i] for i in x])
-        for y in wedge_basis(d, n):
-            # lhs_t = [a(x), psi(y)] + psi(a(x), [y])
-            psi_y = psi.evaluate([wedge_of_vectors(space.windex, [{i: ONE} for i in y[:-1]])], {y[-1]: ONE})
-            res = dict(
-                bracket_eval_sparse(
-                    alg,
-                    [alpha_cols[i] for i in x] + [{i: v for i, v in enumerate(psi_y) if v}],
-                )
-            )
-            inner = alg.bracket_basis_sparse(y)
-            for i, v in enumerate(psi.evaluate([wx_alpha], inner)):
-                sv_add(res, i, v)
-            # rhs_t = sum_i [a(y_1), ..., psi(x, y_i), ..., a(y_n)]
-            #       + sum_i psi(a(y_1), ..., [x, y_i], ..., a(y_n))
-            for i in range(n):
-                psi_xyi = psi.evaluate(
-                    [wedge_of_vectors(space.windex, [{j: ONE} for j in x])], {y[i]: ONE}
-                )
-                args = [alpha_cols[y[t]] for t in range(i)]
-                args.append({j: v for j, v in enumerate(psi_xyi) if v})
-                args += [alpha_cols[y[t]] for t in range(i + 1, n)]
-                for r, v in bracket_eval_sparse(alg, args).items():
-                    sv_add(res, r, -v)
-                inner_i = alg.bracket_basis_sparse(x + (y[i],))
-                if i == n - 1:
-                    w = wedge_of_vectors(space.windex, [alpha_cols[y[t]] for t in range(n - 1)])
-                    val = psi.evaluate([w], inner_i)
-                else:
-                    factors = (
-                        [alpha_cols[y[t]] for t in range(i)]
-                        + [inner_i]
-                        + [alpha_cols[y[t]] for t in range(i + 1, n - 1)]
-                    )
-                    val = psi.evaluate(
-                        [wedge_of_vectors(space.windex, factors)], alpha_cols[y[n - 1]]
-                    )
-                for r, v in enumerate(val):
-                    sv_add(res, r, -v)
-            if res:
-                out.append((x, y, res))
-    return out
+    """[(x, y, residual)]: the t-linear part of the fundamental-identity
+    defect of bracket + t psi, the pairs (bracket, psi) and (psi, bracket)."""
+    windex = psi.space.windex
+
+    def psi_bracket(args):
+        value = psi.evaluate([wedge_of_vectors(windex, args[:-1])], args[-1])
+        return {r: v for r, v in enumerate(value) if v}
+
+    pairs = [
+        (partial(bracket_eval_sparse, alg), lambda key: psi_bracket([{i: ONE} for i in key])),
+        (psi_bracket, alg.bracket_basis_sparse),
+    ]
+    return algebra.fundamental_identity_defects(alg, pairs)
 
 
 def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain) -> bool:
-    """True iff psi is a degree-1 cocycle; asserts that the cocycle
-    verdict and the dual-number residual verdict agree."""
+    """True iff psi is a degree-1 cocycle; asserts that the coboundary
+    verdict and the fundamental-identity residual verdict agree."""
     bad = equivariance_violations(alg, psi)
     if bad:
         raise NotEquivariantError(bad[0])
@@ -188,7 +140,7 @@ def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain) -> bool:
     cocycle = not any(flat)
     residual_zero = not deformation_residuals(alg, psi)
     if cocycle != residual_zero:  # pragma: no cover - the two paths agree
-        raise AssertionError("cocycle and dual-number verdicts disagree")
+        raise AssertionError("cocycle and residual verdicts disagree")
     return cocycle
 
 

@@ -11,13 +11,16 @@ sides of the defining identities are multilinear in every slot and skew
 within each bracket slot group, so their difference vanishes on all
 arguments as soon as it vanishes on increasing basis tuples.  Values are
 immutable after construction; validators are pure apart from setting the
-``*_checked`` flags on success.
+``*_checked`` flags on success.  The fundamental identity is stated once,
+as a defect bilinear in an outer and an inner bracket; its validator and
+the deformation check of :mod:`homnambu.adjoint_cohomology` both read it.
 """
 
 from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import partial
 
 from . import linalg
 from .indices import expand, sort_with_sign, sv_add, wedge_basis
@@ -196,37 +199,43 @@ def check_skew_symmetry(alg: HomNambuAlgebra):
     return violations
 
 
-def check_hom_nambu_identity(alg: HomNambuAlgebra):
-    """Exhaustive check of the twisted fundamental identity.
+def fundamental_identity_defects(alg: HomNambuAlgebra, pairs):
+    """``(x, y, defect)`` wherever the twisted fundamental-identity defect,
+    summed over the ``(outer, inner)`` pairs, is nonzero:
 
-    x runs over increasing (n-1)-tuples and y over increasing n-tuples of
-    basis indices; this is sufficient by multilinearity and skewness of
-    both sides.  Returns violations ``(x, y, lhs_minus_rhs)``.
+        outer(a x, inner(y)) - sum_i outer(a y_1, ..., inner(x, y_i), ..., a y_n)
+
+    with a the twist, ``outer`` bracketing n sparse vectors and ``inner``
+    n basis indices.  The defect is bilinear in (outer, inner).
     """
     n, d = alg.arity, alg.dim
-    violations = []
     alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
+    defects = []
     for x in wedge_basis(d, n - 1):
+        alpha_x = [alpha_cols[i] for i in x]
         for y in wedge_basis(d, n):
-            lhs = bracket_eval_sparse(
-                alg, [alpha_cols[i] for i in x] + [alg.bracket_basis_sparse(y)]
-            )
-            rhs = {}
-            for i in range(n):
-                inner = alg.bracket_basis_sparse(x + (y[i],))
-                if not inner:
-                    continue
-                args = [alpha_cols[y[j]] for j in range(i)]
-                args.append(inner)
-                args += [alpha_cols[y[j]] for j in range(i + 1, n)]
-                term = bracket_eval_sparse(alg, args)
-                for idx, v in term.items():
-                    sv_add(rhs, idx, v)
-            diff = dict(lhs)
-            for idx, v in rhs.items():
-                sv_add(diff, idx, -v)
+            diff = {}
+            for outer, inner in pairs:
+                for idx, v in outer(alpha_x + [inner(y)]).items():
+                    sv_add(diff, idx, v)
+                for i in range(n):
+                    inner_i = inner(x + (y[i],))
+                    if inner_i:
+                        args = [alpha_cols[j] for j in y]
+                        args[i] = inner_i
+                        for idx, v in outer(args).items():
+                            sv_add(diff, idx, -v)
             if diff:
-                violations.append((x, y, diff))
+                defects.append((x, y, diff))
+    return defects
+
+
+def check_hom_nambu_identity(alg: HomNambuAlgebra):
+    """Violations ``(x, y, lhs_minus_rhs)`` of the twisted fundamental
+    identity: the defect of the pair (bracket, bracket)."""
+    violations = fundamental_identity_defects(
+        alg, [(partial(bracket_eval_sparse, alg), alg.bracket_basis_sparse)]
+    )
     if not violations:
         alg.hom_nambu_checked = True
     return violations

@@ -404,10 +404,7 @@ def main(argv=None) -> int:
     except formats.ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return PARSE_ERROR
-    except Refused as exc:
-        print(f"precondition failed: {exc}", file=sys.stderr)
-        return PRECONDITION
-    except _PRECONDITION_ERRORS as exc:
+    except (Refused, *_PRECONDITION_ERRORS) as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return PRECONDITION
     except OSError as exc:

@@ -169,7 +169,7 @@ def test_criterion_07_deformation_equivalence():
         non_cocycles_seen += not cocycle
     assert cocycles_seen and non_cocycles_seen
     _ok(
-        "criterion 7: cocycle condition and dual-number residual agree on 20 samples "
+        "criterion 7: cocycle condition and identity residual agree on 20 samples "
         f"({cocycles_seen} cocycles, {non_cocycles_seen} non-cocycles)"
     )
 

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -12,7 +13,6 @@ from homnambu.adjoint_cohomology import (
     coboundary_matrix,
     cohomology,
     deformation_residuals,
-    dual_number_bracket,
     equivariance_violations,
     equivariant_basis,
     equivariant_matrix_space,
@@ -22,13 +22,11 @@ from homnambu.adjoint_cohomology import (
 from homnambu.algebra import bracket_eval, zero_algebra
 from homnambu.cochains import Cochain, CochainSpace, apply_coboundary, coboundary_preserves_fusion
 from homnambu.derivations import adjoint_representation
+from homnambu.formats import load_algebra
 from homnambu.fundamental import fundamental_of, l_action_sparse
 
 ONE = Fraction(1)
-
-
-def e(d, i):
-    return tuple(Fraction(int(j == i)) for j in range(d))
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def test_zero_cochain_maps_to_zero():
@@ -166,42 +164,34 @@ def test_degree2_report_small_fixture():
 # -- deformations --------------------------------------------------------------
 
 
-def test_dual_number_bracket_zero_cochain():
-    alg = fixtures.filippov_n3()
-    space = CochainSpace(alg, 1, "adjoint")
-    psi = Cochain.zero(space)
-    args = [e(4, 1), e(4, 2), e(4, 3)]
-    value, t = dual_number_bracket(alg, psi, args)
-    assert value == bracket_eval(alg, args)
-    assert t == alg.zero_vector()
-
-
-def test_dual_number_bracket_repeated_argument():
-    alg = fixtures.filippov_n3()
-    rng = random.Random(2)
-    psi = random_equivariant_cochain(alg, 1, rng)
-    v = (ONE, Fraction(2), Fraction(0), Fraction(1))
-    value, t = dual_number_bracket(alg, psi, [v, v, e(4, 0)])
-    assert value == alg.zero_vector()
-    assert t == alg.zero_vector()
+VALID_FIXTURES = [path for path in sorted(FIXDIR.glob("*.alg")) if path.stem != "perturbed_n3"]
 
 
 def test_residuals_match_coboundary_entrywise():
-    from homnambu.indices import wedge_basis
-
-    alg = fixtures.filippov_n3()
-    rng = random.Random(21)
-    psi = random_equivariant_cochain(alg, 1, rng)
-    out_space = CochainSpace(alg, 2, "adjoint", "split")
-    flat = linalg.sparse_mat_vec(coboundary_matrix(alg, 1, "fused", "split"), psi.to_flat())
-    res = {(x, y): r for x, y, r in deformation_residuals(alg, psi)}
-    d = alg.dim
-    for x in wedge_basis(d, 2):
-        for y in wedge_basis(d, 3):
-            key = (out_space.windex[x], out_space.windex[y[:2]], y[2])
-            base = out_space.key_index[key] * d
-            dv = {r: flat[base + r] for r in range(d) if flat[base + r]}
-            assert dv == res.get((x, y), {})
+    # the t-linear defect of bracket + t psi is d psi, key by key and in
+    # key order: x-wedge and n-form of each residual are a fused output key
+    for path in VALID_FIXTURES:
+        alg = load_algebra(path)
+        out_space = CochainSpace(alg, 2, "adjoint", "fused")
+        d = alg.dim
+        for mode in ("fused", "split"):
+            rng = random.Random(21)
+            for psi in (
+                random_equivariant_cochain(alg, 1, rng, mode),
+                Cochain.random(CochainSpace(alg, 1, "adjoint", mode), rng),
+            ):
+                flat = linalg.sparse_mat_vec(
+                    coboundary_matrix(alg, 1, mode, "fused"), psi.to_flat()
+                )
+                rows = [
+                    (key, {r: flat[i * d + r] for r in range(d) if flat[i * d + r]})
+                    for i, key in enumerate(out_space.keys)
+                ]
+                got = [
+                    ((out_space.windex[x], out_space.nindex[y]), res)
+                    for x, y, res in deformation_residuals(alg, psi)
+                ]
+                assert got == [(key, row) for key, row in rows if row], (path.stem, mode)
 
 
 def test_zero_cochain_is_deformation():

@@ -82,6 +82,11 @@ BRIDGE_JOBS = [
 
 ROTATION = "0 -1 0 0\n1 0 0 0\n0 0 0 -1\n0 0 1 0\n"
 COVECTOR = "0 1 0 -1\n"
+# an equivariant degree-1 cochain on filippov_n3 that is not a cocycle
+BAD_COCHAIN = (
+    "kind = adjoint\ndegree = 1\ndim = 4\narity = 3\nmode = fused\n"
+    "cochain 1\n[1,2,3] -> 1,0,0,0\n"
+)
 
 
 def _fx(stem: str) -> str:
@@ -135,6 +140,11 @@ CLI_JOBS = [
                 for i in (1, 2, 3)
             ),
         ],
+    ),
+    (
+        "filippov_n3.deform-check-fails",
+        {"bad.cochains": BAD_COCHAIN},
+        [["deform-check", _fx("filippov_n3"), "--cochain", "bad.cochains"]],
     ),
 ]
 

@@ -46,7 +46,7 @@ def test_workload_inputs_are_generated(workload, tmp_path):
 
 
 def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)  # cohomology writes its cocycle basis here
+    monkeypatch.chdir(tmp_path)  # cohomology writes its cocycle bases here
     tracer = load_layerbench("tracing").Tracer()
     fixture = str(ROOT / "fixtures" / "sl2.alg")
     tracer.install()
@@ -54,6 +54,9 @@ def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
         for argv in (
             ["cohomology", fixture, "-p", "2", "--coefficients", "adjoint"],
             ["bridge-check", fixture, "-p", "1"],
+            ["cohomology", fixture, "-p", "1", "--coefficients", "adjoint",
+             "--basis-out", "z1.cochains"],
+            ["deform-check", fixture, "--cochain", "z1.cochains"],
         ):
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main(["--json", *argv]) == 0
@@ -70,6 +73,9 @@ def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
         "bridge.leibniz_coboundary",
         "bridge.delta_lift",
         "cochains.functional",
+        "algebra.validate",
+        "adjoint_cohomology.residuals",
+        "adjoint_cohomology.deform_check",
     ):
         assert name in names
 
