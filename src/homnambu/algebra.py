@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 from . import linalg
 from .indices import expand, sort_with_sign, sv_add, wedge_basis
@@ -206,10 +206,13 @@ def fundamental_identity_defects(alg: HomNambuAlgebra, pairs):
         outer(a x, inner(y)) - sum_i outer(a y_1, ..., inner(x, y_i), ..., a y_n)
 
     with a the twist, ``outer`` bracketing n sparse vectors and ``inner``
-    n basis indices.  The defect is bilinear in (outer, inner).
+    n basis indices.  The defect is bilinear in (outer, inner).  Each
+    ``inner`` is called once per distinct index tuple (its values are
+    kept for this call only and must not be mutated).
     """
     n, d = alg.arity, alg.dim
     alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
+    pairs = [(outer, cache(inner)) for outer, inner in pairs]
     defects = []
     for x in wedge_basis(d, n - 1):
         alpha_x = [alpha_cols[i] for i in x]

@@ -26,10 +26,10 @@ part of the cochain definition the four-term operator comes from, and
 dropping it breaks the square for non-trivial twists), which transports
 d o d = 0 into the four-term complex.
 
-The Leibniz coboundary and both lifts scatter from phi's stored keys:
-each formula is read backwards, from one stored key u to the output
-keys its value phi(u) adds to, through inverse tables built once per
-call.  Left and right multiplication by x_a = a^(p-1)(b_a) become
+Every kernel here scatters from phi's stored keys: each formula is read
+backwards, from one stored key u to the output keys its value phi(u)
+adds to, through inverse tables built once per call.  Left and right
+multiplication by x_a = a^(p-1)(b_a) become
 m -> [(a, weight, bracket cell)], so [x_a, phi(u)] and [phi(u), x_a]
 are formed once per key; the twist becomes t -> [(a, w)], the bracket
 t -> [(a, b, w)] and the block basis x -> [(t, s)].  Each output key is
@@ -39,10 +39,11 @@ tuples.
 :func:`leibniz_coboundary_matrix` is built column by column from the
 same per-key statement, each column being the image of one basis
 cochain.  The four-term coboundary is not restated here: it is
-:func:`cochains.coboundary_terms` in the internal ``tensor`` mode (the
-split layout over tensor blocks, no canonicalization) with adjoint
-values, summed by :func:`cochains.evaluate_terms`, and the equivariance
-test is :func:`cochains.compatibility_violations` in the same mode.
+:func:`cochains.coboundary_scatter` in the internal ``tensor`` mode
+(the split layout over tensor blocks, no canonicalization) with adjoint
+values, applied to phi's stored keys by :func:`cochains.scatter_values`,
+and the equivariance test is :func:`cochains.compatibility_violations`
+in the same mode.
 Integral values (tensor table, twist and L-action columns, phi's
 values) are Python ints; other rationals stay ``Fraction``, so results
 are exact.
@@ -57,7 +58,7 @@ from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .cochains import coboundary_terms, compatibility_violations, evaluate_terms
+from .cochains import coboundary_scatter, compatibility_violations, scatter_values
 from .derivations import adjoint_representation
 from .fundamental import HomLeibnizAlgebra, fundamental_of
 # kept reachable here: layerbench/tracing.py TARGETS wraps both by name in bridge
@@ -270,17 +271,16 @@ class BridgeCochain:
 
 def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
     """The four-term coboundary on tensor-block cochains (p >= 0): the
-    operator of :func:`cochains.coboundary_terms` in tensor mode with
-    adjoint values, applied pointwise.
+    scatter of :func:`cochains.coboundary_scatter` in tensor mode with
+    adjoint values, from phi's stored keys.
 
     Degree 0 is the derivation defect
     sum_i [x_1, ..., phi(x_i), ..., x_n] - phi([x_1, ..., x_n]),
     which is the general formula with a^0 = id.
     """
     alg, p = phi.alg, phi.degree
-    _, _, terms = coboundary_terms(alg, adjoint_representation(alg), p, "tensor")
-    keys = itertools.product(*[range(phi.leib.dim)] * (p + 1), range(alg.dim))
-    return BridgeCochain(alg, phi.leib, p + 1, evaluate_terms(phi.stored_values(), keys, terms))
+    _, _, scatter = coboundary_scatter(alg, adjoint_representation(alg), p, "tensor")
+    return BridgeCochain(alg, phi.leib, p + 1, scatter_values(phi.stored_values(), scatter))
 
 
 # -- the lift -----------------------------------------------------------------

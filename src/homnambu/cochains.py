@@ -44,15 +44,13 @@ there are no bracket pairs, a^0 = id, and the four terms reduce to
 
 (d2 is -psi([x]), d3 the term i = n and d4 the others).
 
-The operator is stated once, as a term list per output key
-(:func:`coboundary_terms`): scalar terms ``(pairs, sign)`` read psi at
-a combination of stored keys given as ``(key, weight)`` pairs, map terms
-``(key, w, op)`` push psi at one key through a linear map of V.
-:func:`term_matrix` assembles a term list into a sparse matrix and
-:func:`evaluate_terms` applies it pointwise to stored values; the
-four-term coboundary of :mod:`homnambu.bridge` is the tensor-mode term
-list under :func:`evaluate_terms` (its Leibniz complex and lift are
-stated there, scattered from stored keys).
+The operator is stated once, as a scatter (:func:`coboundary_scatter`):
+the four terms read backwards, from one input key to every output key
+that reads psi there.  :func:`scatter_matrix` builds the sparse matrix
+from it column by column, and :func:`scatter_values` applies it to
+stored values, visiting only the stored keys; the four-term coboundary
+of :mod:`homnambu.bridge` is the tensor-mode scatter under
+:func:`scatter_values` (its Leibniz complex and lift are stated there).
 
 Compatible cochains satisfy nu o psi = psi o a: the kernel of
 :func:`equivariance_matrix`, checked pointwise by
@@ -69,6 +67,7 @@ action of :mod:`homnambu.derivations` states the derivation rule.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -281,164 +280,210 @@ def _block_algebra(alg: HomNambuAlgebra, mode: str):
     return tensor_fundamental_of(alg) if mode == "tensor" else fundamental_of(alg)
 
 
-def coboundary_terms(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode=None):
-    """The degree-p coboundary with values in ``rep``, p >= 0, as a term
-    list per output key: the four terms of the module docstring.
+def _split_args(space: CochainSpace):
+    """``(reps, tails)``: ``reps(key)`` lists the split arguments
+    ``(blocks, z, sign)`` with psi(blocks, z) = sign psi(key), one per
+    slot of the n-form in fused mode; ``tails[c][z]`` ends the key whose
+    row holds (..., c, z), or is None: in fused mode only the argument
+    :meth:`CochainSpace.decode_args` gives, z above every index of c."""
+    if space.mode != "fused":
+        tails = [[(c, z) for z in range(space.alg.dim)] for c in range(len(space.wedge))]
+        return (lambda key: [(key[:-1], key[-1], 1)]), tails
+    reps, tails = [[] for _ in space.nforms], [[None] * space.alg.dim for _ in space.wedge]
+    for c, row in enumerate(space.fuse):
+        for z, (m, sign) in enumerate(row):
+            if sign:
+                reps[m].append((c, z, sign))
+                if z > space.wedge[c][-1]:
+                    tails[c][z] = (m,)
+    return (lambda key: [(key[:-1] + (c,), z, sign) for c, z, sign in reps[key[-1]]]), tails
 
-    Returns ``(space_in, space_out, terms)``.  ``terms(key)`` gives
-    ``(scalars, maps)``: ``(pairs, sign)`` add sign * sum w psi(in_key)
-    over the ``(in_key, w)`` pairs on every value component (here the
-    items of a :meth:`CochainSpace.functional` dict, read once and never
-    copied), ``(in_key, w, op)`` triples add w op(psi(in_key)) with
-    ``op = {c: {r: v}}``.  Every table (twist columns, the block
-    bracket and twist, the L-action and the rho weights) is built once
-    with integral values as ints, so integral structure constants give
-    integer arithmetic.
+
+def _inverse(cells, width: int) -> list:
+    """``out[t] = [(*at, w)]`` for each ``(*at, cell)`` whose sparse cell
+    has w at t."""
+    out = [[] for _ in range(width)]
+    for *at, cell in cells:
+        for t, w in cell.items():
+            out[t].append((*at, w))
+    return out
+
+
+def _grid(table):
+    """``(a, b, cell)`` for every cell of a table of rows."""
+    return ((a, b, cell) for a, row in enumerate(table) for b, cell in enumerate(row))
+
+
+def _twisted(choice) -> tuple:
+    """Arguments and weight of one choice of ``(..., arg, weight)`` items."""
+    return tuple(item[-2] for item in choice), math.prod(item[-1] for item in choice)
+
+
+def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode=None):
+    """The degree-p coboundary with values in ``rep``, p >= 0, read
+    backwards: ``(space_in, space_out, scatter)``, where ``scatter(key)``
+    gives ``(scalars, maps)``; ``{out_key: w}`` adds w psi(key) on every
+    value component (d1 and d2), ``(out_key, w, op)`` adds w op(psi(key))
+    with ``op = {c: {r: v}}`` (d3 and d4).  The inverse tables are built
+    once per call with integral values as ints, so integral structure
+    constants give integer arithmetic.
     """
     space_in = CochainSpace(alg, p, "scalar", mode)
     space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
     fund = _block_algebra(alg, space_out.mode)
     d, n = alg.dim, alg.arity
-    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
-    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
-    twist, table, laction = fund.twist_cols, fund.table, fund.l_action
-    functional, canonical_key = space_in.functional, space_in.canonical_key
-    rho_cols = _rho_columns(rep)
-    # weights of d3, rho(a^p(x)) per block id x, and of d4,
-    # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per (y, s, z); none when rho = 0
+    twist = _inverse(enumerate(fund.twist_cols), fund.dim)
+    bracket, laction = _inverse(_grid(fund.table), fund.dim), _inverse(_grid(fund.l_action), d)
+    alpha = _inverse(enumerate(exact_vec(alg.twist_column_sparse(i)) for i in range(d)), d)
+    representatives, tails = _split_args(space_in)[0], _split_args(space_out)[1]
+    # d3 weights rho(a^p(x)) per block x; d4 weights
+    # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per block y with y^s = t, by (s, t)
     third, fourth = {}, {}
+    rho_cols = _rho_columns(rep)
     if rho_cols:
-        third = {b: _rho_weights(rho_cols, [alpha_p[t] for t in x])
-                 for b, x in enumerate(fund.basis)}
-        fourth = {(b, s, z): _rho_weights(rho_cols, [alpha_p[t] for t in y[:s] + y[s + 1:]]
-                                          + [alpha_p[z]])
-                  for b, y in enumerate(fund.basis) for s in range(n - 1) for z in range(d)}
+        alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
+        for b, y in enumerate(fund.basis):
+            if weights := _rho_weights(rho_cols, [alpha_p[t] for t in y]):
+                third[b] = weights
+            for s in range(n - 1):
+                for z in range(d):
+                    args = [alpha_p[t] for t in y[:s] + y[s + 1:]] + [alpha_p[z]]
+                    if weights := _rho_weights(rho_cols, args):
+                        fourth.setdefault((s, y[s]), []).append((b, z, weights))
 
-    def terms(key):
-        block_ids, z = space_out.decode_args(key)
-        scalars, maps = [], []
-        alpha_blocks = [twist[b] for b in block_ids]
-        for i, b in enumerate(block_ids):
-            sign = -1 if i % 2 == 0 else 1  # (-1)^i with 1-based i
-            rest = alpha_blocks[:i] + alpha_blocks[i + 1:]
-            for j in range(i + 1, len(block_ids)):  # d1, the bracket in slot j
-                bracket = table[b][block_ids[j]]
-                if bracket:
-                    args = rest[:j - 1] + [bracket] + rest[j:]
-                    scalars.append((functional(args, alpha[z]).items(), sign))
-            if laction[b][z]:  # d2
-                scalars.append((functional(rest, laction[b][z]).items(), sign))
-            if third.get(b):  # d3 reads psi at one basis argument
-                in_key, s = canonical_key(block_ids[:i] + block_ids[i + 1:], z)
-                if s:
-                    maps.append((in_key, -sign * s, third[b]))
-        y = fund.basis[block_ids[-1]]
-        for s in range(n - 1):  # d4, sign (-1)^p (-1)^(n-s) with 1-based s
-            weights = fourth.get((block_ids[-1], s, z))
-            if weights:
-                in_key, sk = canonical_key(block_ids[:-1], y[s])
-                if sk:
-                    maps.append((in_key, (-1) ** (p + n - 1 - s) * sk, weights))
+    def inserted(args, b, upto, z):
+        """``(out_key, (-1)^i)`` for block b in slot i <= upto of args,
+        z final, where that argument has a row."""
+        if args and (tail := tails[args[-1]][z]):
+            head = args[:-1]
+            for i in range(min(upto, p - 1) + 1):
+                yield head[:i] + (b,) + head[i:] + tail, 1 - 2 * (i % 2)
+        if upto == p and (tail := tails[b][z]):
+            yield args + tail, 1 - 2 * (p % 2)
+
+    def scatter(key):
+        scalars, maps = {}, []
+        for u, t, sign in representatives(key):
+            twisted = [twist[x] for x in u]
+            # d1: [x_i, x_j] in slot q of u (so i <= q), the twist in the others
+            for q in range(p):
+                for choice in itertools.product(*twisted[:q], bracket[u[q]], *twisted[q + 1:]):
+                    args, w = _twisted(choice)
+                    for z, wz in alpha[t]:
+                        for out, s in inserted(args, choice[q][0], q, z):
+                            scalars[out] = scalars.get(out, 0) - s * sign * w * wz
+            # d2: L(x_i).z in the final slot
+            for choice in itertools.product(*twisted):
+                args, w = _twisted(choice)
+                for b, z, wl in laction[t]:
+                    for out, s in inserted(args, b, p, z):
+                        scalars[out] = scalars.get(out, 0) - s * sign * w * wl
+            for b, weights in third.items():  # d3
+                maps.extend((out, s * sign, weights) for out, s in inserted(u, b, p, t))
+            for s in range(n - 1):  # d4, sign (-1)^p (-1)^(n-s) with 1-based s
+                for b, z, weights in fourth.get((s, t), ()):
+                    if tail := tails[b][z]:
+                        maps.append((u + tail, (-1) ** (p + n - 1 - s) * sign, weights))
         return scalars, maps
 
-    return space_in, space_out, terms
+    return space_in, space_out, scatter
 
 
-def apply_terms(values: dict, scalars, maps) -> dict:
-    """Sum of one term list on stored values ``{key: sparse vector}``;
-    zeros dropped once at the end."""
-    acc = {}
-    for pairs, sign in scalars:
-        for key, w in pairs:
-            vec = values.get(key)
-            if vec:
-                w *= sign
-                for r, u in vec.items():
-                    acc[r] = acc.get(r, 0) + w * u
-    for key, w, op in maps:
-        vec = values.get(key)
-        if vec:
-            for m, u in vec.items():
-                col = op.get(m)
-                if col:
-                    wu = w * u
-                    for r, c in col.items():
-                        acc[r] = acc.get(r, 0) + wu * c
-    return {r: x for r, x in acc.items() if x}
+def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused"):
+    """Rows nu . psi(args) - psi(a args) over the keys of the degree-p
+    space, p >= 0, as ``(space, space, scatter)`` in the format of
+    :func:`coboundary_scatter`; the compatible cochains are its zeros."""
+    space, d = CochainSpace(alg, p, "scalar", mode), alg.dim
+    twist = _inverse(enumerate(_block_algebra(alg, mode).twist_cols), len(space.wedge))
+    alpha = _inverse(enumerate(exact_vec(alg.twist_column_sparse(i)) for i in range(d)), d)
+    representatives, tails = _split_args(space)
+    nu = {c: col for c in range(rep.dim) if (col := exact_vec(rep.nu.column(c)))}
+
+    def scatter(key):
+        scalars = {}
+        for u, t, sign in representatives(key):
+            for choice in itertools.product(*[twist[x] for x in u]):
+                args, w = _twisted(choice)
+                for z, wz in alpha[t]:
+                    if tail := (tails[args[-1]][z] if args else (z,)):
+                        out = args[:-1] + tail
+                        scalars[out] = scalars.get(out, 0) - sign * w * wz
+        return scalars, [(key, 1, nu)]
+
+    return space, space, scatter
 
 
-def evaluate_terms(values: dict, keys, terms) -> dict:
-    """``{key: terms(key) applied to values}`` over keys, zero sums left out."""
-    out = {}
-    for key in keys:
-        total = apply_terms(values, *terms(key))
-        if total:
-            out[key] = total
-    return out
+def scatter_matrix(space_in, space_out, scatter, dv: int) -> linalg.SparseMatrix:
+    """The operator of a scatter, column by column: component c of the
+    k-th input key is column k * dv + c, component r of output key K is
+    row index(K) * dv + r.  index(K) is read off the digits of K: a table
+    of the output keys would be the largest allocation of the build."""
+    width = len(space_out.wedge)
+    last = len(space_out.nforms) if space_out.mode == "fused" else space_out.alg.dim
 
+    def row_of(key):
+        i = 0
+        for b in key[:-1]:
+            i = i * width + b
+        return (i * last + key[-1]) * dv
 
-def term_matrix(keys, terms, index, dv: int, cols: int) -> linalg.SparseMatrix:
-    """The operator of a term list as a matrix: component r of the k-th
-    output key is row k * dv + r, component c of input key ``in_key`` is
-    column index[in_key] * dv + c.  ``keys`` is a sequence."""
     entries = {}
-    for k, key in enumerate(keys):
-        scalars, maps = terms(key)
-        block = {}  # (component, column) of this key's rows
-        for pairs, sign in scalars:
-            for in_key, w in pairs:
-                col, w = index[in_key] * dv, sign * w
-                for r in range(dv):
-                    block[r, col + r] = block.get((r, col + r), 0) + w
-        for in_key, w, op in maps:
-            col = index[in_key] * dv
+    for k, key in enumerate(space_in.keys):
+        scalars, maps = scatter(key)
+        col, block = k * dv, {}  # the columns of this key
+        for out, w in scalars.items():
+            row = row_of(out)
+            for r in range(dv):
+                block[row + r, col + r] = w
+        for out, w, op in maps:
+            row = row_of(out)
             for c, column in op.items():
                 for r, v in column.items():
-                    block[r, col + c] = block.get((r, col + c), 0) + w * v
-        entries.update(((k * dv + r, c), v) for (r, c), v in block.items() if v)
-    return linalg.SparseMatrix(len(keys) * dv, cols, entries)
+                    cell = (row + r, col + c)
+                    block[cell] = block.get(cell, 0) + w * v
+        entries.update((cell, v) for cell, v in block.items() if v)
+    return linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, entries)
+
+
+def scatter_values(values: dict, scatter) -> dict:
+    """A scatter applied to stored values ``{key: sparse vector}``,
+    visiting only those keys: ``{out_key: sparse vector}`` in key order,
+    zero sums left out."""
+    acc = {}
+    for key, vec in values.items():
+        scalars, maps = scatter(key)
+        for out, w in scalars.items():
+            target = acc.setdefault(out, {})
+            for r, u in vec.items():
+                target[r] = target.get(r, 0) + w * u
+        for out, w, op in maps:
+            target = acc.setdefault(out, {})
+            for c, u in vec.items():
+                if column := op.get(c):
+                    for r, v in column.items():
+                        target[r] = target.get(r, 0) + w * u * v
+    sums = ((key, {r: x for r, x in acc[key].items() if x}) for key in sorted(acc))
+    return {key: vec for key, vec in sums if vec}
 
 
 def coboundary_matrix(
     alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
     """Sparse matrix of the degree-p coboundary with values in ``rep``,
-    p >= 0: :func:`term_matrix` of :func:`coboundary_terms`."""
-    space_in, space_out, terms = coboundary_terms(alg, rep, p, mode, out_mode)
-    return term_matrix(space_out.keys, terms, space_in.key_index, rep.dim, space_in.dim * rep.dim)
-
-
-def equivariance_terms(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused"):
-    """Rows nu . psi(args) - psi(a args) over the keys of the degree-p
-    space, p >= 0, as ``(space, terms)`` in the format of
-    :func:`coboundary_terms`; the compatible cochains are its zeros."""
-    space = CochainSpace(alg, p, "scalar", mode)
-    twist = _block_algebra(alg, mode).twist_cols
-    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
-    nu = {}  # {c: column c of nu}
-    for (r, c), v in exact_vec(rep.nu.entries).items():
-        nu.setdefault(c, {})[r] = v
-
-    def terms(key):
-        block_ids, z = space.decode_args(key)
-        fn = space.functional([twist[b] for b in block_ids], alpha[z])
-        return [(fn.items(), -1)], [(key, 1, nu)]
-
-    return space, terms
+    p >= 0: :func:`scatter_matrix` of :func:`coboundary_scatter`."""
+    return scatter_matrix(*coboundary_scatter(alg, rep, p, mode, out_mode), rep.dim)
 
 
 def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> linalg.SparseMatrix:
-    """Matrix of :func:`equivariance_terms`; the compatible cochains are
-    its kernel."""
-    space, terms = equivariance_terms(alg, rep, p, mode)
-    return term_matrix(space.keys, terms, space.key_index, rep.dim, space.dim * rep.dim)
+    """Matrix of :func:`equivariance_scatter`; the compatible cochains
+    are its kernel."""
+    return scatter_matrix(*equivariance_scatter(alg, rep, p, mode), rep.dim)
 
 
 def compatibility_violations(alg: HomNambuAlgebra, rep, p: int, mode: str, values: dict) -> list:
     """Keys where nu . psi != psi o a, in key order, for stored values
     ``{key: sparse vector}``; empty iff psi is compatible."""
-    space, terms = equivariance_terms(alg, rep, p, mode)
-    return list(evaluate_terms(values, space.keys, terms))
+    return list(scatter_values(values, equivariance_scatter(alg, rep, p, mode)[2]))
 
 
 def apply_coboundary(rep, phi: Cochain, out_mode: str | None = None) -> Cochain:

@@ -6,21 +6,22 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import pytest
 
 from homnambu import adjoint_cohomology, cochains, fixtures, linalg, scalar_cohomology
-from homnambu.bridge import tensor_fundamental_of
-from homnambu.cochains import CochainSpace
+from homnambu.bridge import BridgeCochain, bridge_coboundary, tensor_fundamental_of
+from homnambu.cochains import Cochain, CochainSpace
 from homnambu.fundamental import fundamental_of
-from homnambu.indices import sv_add
+from homnambu.indices import exact, exact_vec, expand, sv_add
 from homnambu.algebra import HomNambuAlgebra, bracket_eval_sparse, is_valid
 from homnambu.derivations import (
     RepresentationMap,
     adjoint_representation,
     check_rep_equivalence,
     check_representation,
+    level_representation,
     trivial_representation,
 )
 
@@ -131,23 +132,6 @@ def test_transported_adjoint_keeps_adjoint_dimensions():
     assert dims(alg, rep, 2, restrict=True) == (15, 8, 7)
     # the adjoint report at p = 3 gives the same numbers
     assert dims(alg, rep, 3, restrict=True) == (102, 81, 21)
-
-
-def test_functional_call_counts(monkeypatch):
-    calls = [0]
-    functional = CochainSpace.functional
-
-    def counted(self, *args):
-        calls[0] += 1
-        return functional(self, *args)
-
-    monkeypatch.setattr(CochainSpace, "functional", counted)
-    alg = fixtures.filippov_n3()
-    scalar_cohomology.coboundary_matrix(alg, 2, "fused", "split")
-    assert calls[0] == 3024
-    calls[0] = 0
-    adjoint_cohomology.coboundary_matrix(alg, 2, "fused", "split")
-    assert calls[0] <= 7344
 
 
 def test_integral_operators_have_int_entries():
@@ -305,3 +289,233 @@ def test_induced_tables_stay_integral():
         values = induced_values(leib)
         assert any(type(v) is Fraction for v in values)
         assert all(type(v) is int or v.denominator > 1 for v in values)
+
+
+# -- a slow literal gather of the four-term coboundary ------------------------
+
+
+def _read(space, acc, blocks, z, op, sign):
+    """Add sign * op(psi(blocks, z)) to ``acc = {in_key: {(r, c): v}}``;
+    returns the number of (in_key, weight) pairs read."""
+    if not op:
+        return 0
+    fn = space.functional(blocks, z)
+    for key, w in fn.items():
+        for rc, v in op.items():
+            sv_add(acc.setdefault(key, {}), rc, sign * w * v)
+    return len(fn)
+
+
+def reference_rows(alg, rep, p, mode="fused", out_mode=None):
+    """Per output key of the degree-p coboundary with values in rep, in
+    key order, ``(key, {in_key: {(r, c): v}})``: the four terms of the
+    cochains docstring summed at that key's argument, psi read through
+    :meth:`CochainSpace.functional` (1-based i, j, s).  Also returns the
+    number of (in_key, weight) pairs the terms read."""
+    space_in = CochainSpace(alg, p, "scalar", mode)
+    space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
+    fund = (tensor_fundamental_of if space_out.mode == "tensor" else fundamental_of)(alg)
+    n, dv = alg.arity, rep.dim
+    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
+    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(alg.dim)]
+    units = [{b: 1} for b in range(fund.dim)]
+    identity = {(r, r): 1 for r in range(dv)}
+
+    @cache
+    def rho(ids):  # rho(a^p(e_i), ...) over basis indices
+        out = {}
+        for idx, w in expand([alpha_p[t] for t in ids]):
+            for rc, v in rep.rho_basis(idx).entries.items():
+                sv_add(out, rc, w * exact(v))
+        return out
+
+    rows, pairs = [], 0
+    for key in space_out.keys:
+        xs, z = space_out.decode_args(key)
+        acc = {}
+        for i in range(1, p + 2):
+            for j in range(i + 1, p + 2):  # d1
+                blocks = [fund.twist_sparse(units[x]) for x in xs]
+                blocks[j - 1] = fund.bracket_sparse(units[xs[i - 1]], units[xs[j - 1]])
+                del blocks[i - 1]
+                pairs += _read(space_in, acc, blocks, alpha[z], identity, (-1) ** i)
+            rest = [fund.twist_sparse(units[x]) for k, x in enumerate(xs) if k != i - 1]
+            lz = bracket_eval_sparse(alg, [{t: 1} for t in fund.basis[xs[i - 1]]] + [{z: 1}])
+            pairs += _read(space_in, acc, rest, lz, identity, (-1) ** i)  # d2
+            plain = [units[x] for k, x in enumerate(xs) if k != i - 1]
+            op = rho(fund.basis[xs[i - 1]])
+            pairs += _read(space_in, acc, plain, {z: 1}, op, (-1) ** (i + 1))  # d3
+        y = fund.basis[xs[-1]]
+        for s in range(1, n):  # d4
+            op = rho(y[:s - 1] + y[s:] + (z,))
+            pairs += _read(space_in, acc, [units[x] for x in xs[:-1]], {y[s - 1]: 1}, op,
+                           (-1) ** (p + n - s))
+        rows.append((key, acc))
+    return space_in, space_out, rows, pairs
+
+
+def reference_equivariance_rows(alg, rep, p, mode="fused"):
+    """Per key, in key order, the row nu . psi(args) - psi(a args)."""
+    space = CochainSpace(alg, p, "scalar", mode)
+    fund = (tensor_fundamental_of if mode == "tensor" else fundamental_of)(alg)
+    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
+    identity = {(r, r): 1 for r in range(rep.dim)}
+    rows = []
+    for key in space.keys:
+        xs, z = space.decode_args(key)
+        acc = {key: dict(rep.nu.entries)}
+        _read(space, acc, [fund.twist_sparse({x: 1}) for x in xs], alpha[z], identity, -1)
+        rows.append((key, acc))
+    return space, space, rows
+
+
+def reference_matrix(space_in, space_out, rows, dv):
+    entries = {}
+    for k, (_, acc) in enumerate(rows):
+        for in_key, op in acc.items():
+            col = space_in.key_index[in_key] * dv
+            for (r, c), v in op.items():
+                sv_add(entries, (k * dv + r, col + c), v)
+    return linalg.SparseMatrix(len(rows) * dv, space_in.dim * dv, entries)
+
+
+def reference_values(rows, values):
+    """The rows applied to stored values, zero keys left out, key order."""
+    out = {}
+    for key, acc in rows:
+        total = {}
+        for in_key, op in acc.items():
+            vec = values.get(in_key, {})
+            for (r, c), v in op.items():
+                sv_add(total, r, v * vec.get(c, 0))
+        if total:
+            out[key] = total
+    return out
+
+
+def reference_representations(name, alg):
+    """The representations compared on a fixture, each with the highest
+    degree of its operators (at most 1 in tensor mode)."""
+    top = {"sl2": 4, "filippov_n3_twisted": 2, "volume_d3_twisted_rescaled": 3}[name]
+    reps = [
+        (trivial_representation(alg), top),
+        (adjoint_representation(alg), top - 1 if top > 2 else top),
+        (level_representation(alg, -1), 1),
+        (level_representation(alg, 1), 1),
+    ]
+    if name == "sl2":
+        reps.append((sl2_standard(), top - 1))
+    return reps
+
+
+SCATTER_FIXTURES = {
+    "sl2": fixtures.sl2,
+    "filippov_n3_twisted": fixtures.twisted_filippov_rotation,
+    "volume_d3_twisted_rescaled": lambda: halved_e1(fixtures.volume_form_d3_twisted()),
+}
+MODES = [("fused", None), ("fused", "split"), ("split", None), ("tensor", None)]
+
+
+@pytest.mark.parametrize("name", sorted(SCATTER_FIXTURES))
+def test_scattered_operators_match_literal_gather(name):
+    alg = SCATTER_FIXTURES[name]()
+    integral = all(type(v) is int or v.denominator == 1 for value in alg.coeffs.values() for v in value)
+    for rep, top in reference_representations(name, alg):
+        for mode, out_mode in MODES:
+            for p in range(min(top, 1) + 1 if mode == "tensor" else top + 1):
+                space_in, space_out, rows, _ = reference_rows(alg, rep, p, mode, out_mode)
+                got = cochains.coboundary_matrix(alg, rep, p, mode, out_mode)
+                assert got == reference_matrix(space_in, space_out, rows, rep.dim), (mode, p)
+                if integral:
+                    assert all(type(v) is int for v in got.entries.values())
+        for mode in ("fused", "split", "tensor"):
+            for p in range(min(top, 2) + 1):
+                space, _, rows = reference_equivariance_rows(alg, rep, p, mode)
+                got = cochains.equivariance_matrix(alg, rep, p, mode)
+                assert got == reference_matrix(space, space, rows, rep.dim), (mode, p)
+
+
+def random_values(space, dv, rng):
+    """Random integer and rational values on about half of the keys."""
+    values = {}
+    for key in space.keys:
+        if rng.random() < 0.5:
+            vec = {r: Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for r in range(dv)}
+            if vec := {r: v.numerator if v.denominator == 1 else v for r, v in vec.items() if v}:
+                values[key] = vec
+    return values
+
+
+@pytest.mark.parametrize("name", sorted(SCATTER_FIXTURES))
+def test_scattered_values_match_literal_gather(name):
+    alg = SCATTER_FIXTURES[name]()
+    rng = random.Random(5)
+    violations = 0
+    for rep, top in reference_representations(name, alg):
+        for mode, out_mode in MODES:
+            for p in range(min(top, 2)):
+                space_in, _, rows, _ = reference_rows(alg, rep, p, mode, out_mode)
+                values = random_values(space_in, rep.dim, rng)
+                _, _, scatter = cochains.coboundary_scatter(alg, rep, p, mode, out_mode)
+                got = cochains.scatter_values(values, scatter)
+                assert list(got.items()) == list(reference_values(rows, values).items())
+        for mode in ("fused", "split", "tensor"):
+            space, _, rows = reference_equivariance_rows(alg, rep, 1, mode)
+            values = random_values(space, rep.dim, rng)
+            got = cochains.compatibility_violations(alg, rep, 1, mode, values)
+            assert got == list(reference_values(rows, values))
+            violations += len(got)
+    assert violations or name == "sl2"  # the twist and nu of sl2 are the identity
+
+
+def test_bridge_coboundary_matches_literal_gather():
+    alg = fixtures.sl2()
+    leib, rng = tensor_fundamental_of(alg), random.Random(11)
+    for p in (0, 1, 2):
+        space_in, _, rows, _ = reference_rows(alg, adjoint_representation(alg), p, "tensor")
+        values = random_values(space_in, alg.dim, rng)
+        got = bridge_coboundary(BridgeCochain(alg, leib, p, values)).coeffs
+        assert list(got.items()) == list(reference_values(rows, values).items())
+
+
+def test_not_a_cocycle_reports_first_key_in_order():
+    alg = fixtures.solvable_d4()
+    rep = trivial_representation(alg)
+    _, space_out, rows, _ = reference_rows(alg, rep, 1, "fused", "split")
+    rng = random.Random(3)
+    for _ in range(5):
+        phi = Cochain.random(CochainSpace(alg, 1, "scalar"), rng)
+        values = {key: {0: v} for key, v in phi.coeffs.items()}
+        first = next(iter(reference_values(rows, values)))
+        with pytest.raises(scalar_cohomology.NotACocycleError) as exc:
+            scalar_cohomology.central_extension(alg, phi)
+        b1, b2, z = first
+        assert exc.value.triple == (
+            tuple(i + 1 for i in space_out.wedge[b1]),
+            tuple(i + 1 for i in space_out.wedge[b2]),
+            z + 1,
+        )
+
+
+def test_scatter_reads_no_functional_and_no_more_than_the_gather(monkeypatch):
+    alg = fixtures.filippov_n3()
+    calls = [0]
+    functional = CochainSpace.functional
+
+    def counted(self, *args):
+        calls[0] += 1
+        return functional(self, *args)
+
+    monkeypatch.setattr(CochainSpace, "functional", counted)
+    scalar_cohomology.coboundary_matrix(alg, 2, "fused", "split")
+    adjoint_cohomology.coboundary_matrix(alg, 2, "fused", "split")
+    assert calls[0] == 0
+    monkeypatch.undo()
+    for rep in (trivial_representation(alg), adjoint_representation(alg)):
+        *_, gathered = reference_rows(alg, rep, 2, "fused", "split")
+        space_in, _, scatter = cochains.coboundary_scatter(alg, rep, 2, "fused", "split")
+        scattered = 0
+        for key in space_in.keys:
+            scalars, maps = scatter(key)
+            scattered += sum(1 for w in scalars.values() if w) + len(maps)
+        assert 0 < scattered <= gathered
