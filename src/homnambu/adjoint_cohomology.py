@@ -128,9 +128,11 @@ def deformation_residuals(alg: HomNambuAlgebra, psi: Cochain):
     return algebra.fundamental_identity_defects(alg, pairs)
 
 
-def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain) -> bool:
+def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain, residuals=None) -> bool:
     """True iff psi is a degree-1 cocycle; asserts that the coboundary
-    verdict and the fundamental-identity residual verdict agree."""
+    verdict and the fundamental-identity residual verdict agree.
+    ``residuals`` is :func:`deformation_residuals` of psi when the caller
+    has it already."""
     bad = equivariance_violations(alg, psi)
     if bad:
         raise NotEquivariantError(bad[0])
@@ -138,7 +140,9 @@ def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain) -> bool:
         coboundary_matrix(alg, 1, psi.space.mode, "split"), psi.to_flat()
     )
     cocycle = not any(flat)
-    residual_zero = not deformation_residuals(alg, psi)
+    if residuals is None:
+        residuals = deformation_residuals(alg, psi)
+    residual_zero = not residuals
     if cocycle != residual_zero:  # pragma: no cover - the two paths agree
         raise AssertionError("cocycle and residual verdicts disagree")
     return cocycle

@@ -187,13 +187,14 @@ def check_skew_symmetry(alg: HomNambuAlgebra):
     """
     violations = []
     for key in wedge_basis(alg.dim, alg.arity):
-        stored = alg.bracket_basis(key)
+        stored = alg.bracket_basis_sparse(key)
         for perm in itertools.permutations(key):
             _, sign = sort_with_sign(perm)
-            expected = tuple(sign * v for v in stored)
-            got = bracket_eval(alg, [alg.basis_vector(i) for i in perm])
+            expected = {i: sign * v for i, v in stored.items()}
+            got = bracket_eval_sparse(alg, [{i: ONE} for i in perm])
             if got != expected:
-                violations.append((perm, tuple(g - e for g, e in zip(got, expected))))
+                diff = [got.get(i, ZERO) - expected.get(i, ZERO) for i in range(alg.dim)]
+                violations.append((perm, tuple(diff)))
     if not violations:
         alg.skew_checked = True
     return violations

@@ -2,16 +2,21 @@
 
 Every rank, kernel, image and solve in :mod:`homnambu.linalg` ends in
 :func:`echelon_int`: sparse Gaussian elimination over the integers on
-rows stored as ``{column: int}`` dicts.  Rows are taken shortest first
-(a cheap Markowitz order, as in Duff, Erisman & Reid, *Direct Methods
-for Sparse Matrices*) and reduced by their leading term against the
-pivot rows found so far, so only fill-in that a short pivot row causes
-is ever created.  Each combination is fraction-free and the result is
-divided by the row content, which keeps coefficients at the size of the
-reduced row rather than of a Bareiss minor.  Back-substitution then
-clears every pivot column above and below its pivot, giving the reduced
-row echelon form, which is unique: bases built from it do not depend on
-the row order.
+rows stored as ``{column: int}`` dicts.  Rows are made primitive
+(coprime, positive lead) and kept once each, which leaves the row space
+as it is: the coboundary into split cochains repeats each fused row once
+per permutation of the last slot group, up to sign, and elimination
+would only reduce the repeats to zero (dropping them first is standard:
+LaMacchia & Odlyzko, CRYPTO 1990; Bouillaguet & Delaplace, CASC 2016).
+Rows are taken shortest first (a cheap Markowitz order, as in Duff,
+Erisman & Reid, *Direct Methods for Sparse Matrices*) and reduced by
+their leading term against the pivot rows found so far, so only fill-in
+that a short pivot row causes is ever created.  Each combination is
+fraction-free and the result is divided by the row content, which
+keeps coefficients at the size of the reduced row rather than of a
+Bareiss minor.  Back-substitution then clears every pivot column above
+and below its pivot, giving the reduced row echelon form, which is
+unique: bases built from it do not depend on the row order.
 """
 
 from __future__ import annotations
@@ -52,16 +57,18 @@ def echelon_int(int_rows, rows, cols):
     """Reduced row echelon form of an integer matrix over Q.
 
     ``int_rows`` holds the rows of a ``rows x cols`` matrix as
-    ``{column: int}`` dicts without zero entries; the shape is passed
-    along so that callers and tracers see it.  Returns
+    ``{column: int}`` dicts without zero entries; empty rows may be left
+    out.  The shape, empty rows counted, is passed along so that callers
+    and tracers see it.  Returns
     ``(echelon_rows, pivot_cols, rank)``: ``echelon_rows`` are the
     ``rank`` nonzero rows of the reduced echelon form, each scaled to
     coprime integers with a positive pivot and given as a list of
     ``cols`` Python ints; ``pivot_cols`` increase.
     """
+    # repeats up to scale have equal primitive forms: keep one copy of each
+    distinct = {frozenset(r.items()): r for r in map(_primitive, filter(None, int_rows))}
     pivots = {}  # lead column -> primitive row
-    for row in sorted((r for r in int_rows if r), key=len):
-        row = _primitive(row)
+    for row in sorted(distinct.values(), key=len):
         lead = min(row)
         while lead in pivots:
             row = _combine(row, pivots[lead], lead)

@@ -271,8 +271,8 @@ def cmd_deform_check(args) -> tuple:
     psi = _pick_cochain(args, alg)
     if psi.space.degree != 1 or psi.space.kind != "adjoint":
         raise Refused("deformation checks need an adjoint degree-1 cochain")
-    verdict = adjoint_cohomology.check_infinitesimal_deformation(alg, psi)
-    residuals = [] if verdict else adjoint_cohomology.deformation_residuals(alg, psi)
+    residuals = adjoint_cohomology.deformation_residuals(alg, psi)
+    verdict = adjoint_cohomology.check_infinitesimal_deformation(alg, psi, residuals)
     report = {
         "command": "deform-check",
         "algebra": _algebra_summary(alg),

@@ -8,10 +8,11 @@ so concurrent use needs no synchronization.
 
 ``rank``, ``rref``, ``kernel_basis``, ``image_basis``, ``solve``,
 ``quotient_dim`` and the :class:`SubspaceBasis` checks take a
-SparseMatrix or a nested sequence of rows and hand its nonzero
-entries, as integer rows with
-denominators cleared row by row, to the one elimination engine,
-:func:`homnambu.backends.echelon_int`.  Ranks and kernels over Q agree
+SparseMatrix or a nested sequence of rows and hand its nonzero rows,
+denominators cleared row by row (rows of ints go as they are), to the
+one elimination engine, :func:`homnambu.backends.echelon_int`, which
+eliminates each row once up to scale (LaMacchia & Odlyzko, CRYPTO
+1990), so a repeated row is never reduced.  Ranks and kernels over Q agree
 with those over any extension field, which is why the rest of the
 package can work over Q without changing any cohomology dimension.
 Every basis is read off the reduced row echelon form, which is unique,
@@ -99,12 +100,15 @@ def _rows(m, transpose=False):
 def _echelon(rows, cols):
     """Reduced echelon form of rational ``{column: value}`` rows, each
     row cleared of denominators first (row scaling preserves row space,
-    null space and pivot structure)."""
+    null space and pivot structure); empty rows are skipped and rows of
+    ints passed as they are."""
     int_rows = []
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        int_rows.append({c: v.numerator * (den // v.denominator) for c, v in row.items()})
-    return backends.echelon_int(int_rows, len(int_rows), cols)
+    for row in filter(None, rows):
+        if any(type(v) is not int for v in row.values()):
+            den = lcm(*(v.denominator for v in row.values()))
+            row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
+        int_rows.append(row)
+    return backends.echelon_int(int_rows, len(rows), cols)
 
 
 def _scaled(row, lead):

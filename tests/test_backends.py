@@ -136,6 +136,82 @@ def test_engine_matches_reference_on_fixture_operators(path):
         assert list(linalg.kernel_basis(op).vectors) == reference_kernel(rows, op.cols), label
 
 
+def transpose(rows, cols):
+    return [list(c) for c in zip(*rows)] if rows else [[] for _ in range(cols)]
+
+
+def reference_solve(rows, b, cols):
+    """``solve`` read off the reference RREF of ``[rows | b]``."""
+    r, pivots = reference_rref([list(row) + [v] for row, v in zip(rows, b)], cols + 1)
+    if pivots and pivots[-1] == cols:
+        return None
+    x = [Fraction(0)] * cols
+    for row, p in zip(r, pivots):
+        x[p] = row[cols]
+    return tuple(x)
+
+
+@st.composite
+def systems_with_repeats(draw):
+    """A system ``rows x = b`` and the same system with rows appended that
+    are scaled (negative and fractional factors), negated or zero, all
+    rows then put in a random order."""
+    cols = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(RATIONALS, min_size=cols, max_size=cols), max_size=6))
+    b = draw(st.lists(RATIONALS, min_size=len(rows), max_size=len(rows)))
+    system = [list(row) + [v] for row, v in zip(rows, b)]
+    grown = list(system)
+    for _ in range(draw(st.integers(1, 8))):
+        if system and draw(st.booleans()):
+            src = draw(st.sampled_from(system))
+            scale = draw(st.sampled_from([-1, 2, -3, Fraction(1, 3), Fraction(-5, 2)]))
+            grown.append([scale * v for v in src])
+        else:
+            grown.append([Fraction(0)] * (cols + 1))
+    grown = draw(st.permutations(grown))
+    return (rows, b), ([row[:cols] for row in grown], [row[cols] for row in grown]), cols
+
+
+@given(systems_with_repeats())
+@settings(max_examples=200, deadline=None)
+def test_repeated_rows_change_no_result(systems):
+    (rows, b), (grown, grown_b), cols = systems
+    want_r, want_pivots = reference_rref(rows, cols)
+    want_kernel = reference_kernel(rows, cols)
+    want_x = reference_solve(rows, b, cols)
+    for make in (dense, sparse):
+        for m, rhs, t in (
+            (make(rows, cols), b, make(transpose(rows, cols), len(rows))),
+            (make(grown, cols), grown_b, make(transpose(grown, cols), len(grown))),
+        ):
+            r, pivots = linalg.rref(m)
+            assert ([list(row) for row in r], list(pivots)) == (want_r, want_pivots)
+            assert linalg.rank(m) == len(want_pivots)
+            assert list(linalg.kernel_basis(m).vectors) == want_kernel
+            # the row space, as the column space of the transpose
+            assert [list(v) for v in linalg.image_basis(t).vectors] == want_r
+            assert linalg.solve(m, rhs) == want_x
+
+
+def test_elimination_sees_each_distinct_row_once(monkeypatch):
+    # the fused -> split degree-2 scalar operator of filippov_n3 has 864
+    # rows, 360 of them nonzero, and 48 distinct up to scale
+    alg = formats.load_algebra(FIXTURES[0].with_name("filippov_n3.alg"))
+    op = scalar_cohomology.coboundary_matrix(alg, 2, "fused", "split")
+    eliminated = []
+
+    def spy(items, key=None):
+        out = sorted(items, key=key)
+        if key is len:  # the shortest-first order of the rows to eliminate
+            eliminated.append(len(out))
+        return out
+
+    monkeypatch.setattr(backends, "sorted", spy, raising=False)
+    assert (op.rows, len({r for r, _ in op.entries})) == (864, 360)
+    assert linalg.rank(op) == 24
+    assert eliminated == [48]
+
+
 def test_echelon_rows_are_coprime_integers():
     # -2x - 4y + 6z = 0 and 3x + 3y = 0: rows come back primitive, pivots positive
     ech, pivots, rank = backends.echelon_int([{0: -2, 1: -4, 2: 6}, {0: 3, 1: 3}], 2, 3)

@@ -9,6 +9,7 @@ inputs.
 import contextlib
 import importlib.util
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -39,10 +40,40 @@ def test_tracer_finds_every_target():
 
 @pytest.mark.parametrize("workload", ["scalar-complex", "adjoint-complex", "pointwise-checks"])
 def test_workload_inputs_are_generated(workload, tmp_path):
+    # seeds 0-9: the seed-twist search validates a Yau twist and reads the
+    # commutant basis for each candidate automorphism
     workloads = load_layerbench("workloads")
+    for seed in range(10):
+        work = tmp_path / str(seed)
+        work.mkdir()
+        inputs = workloads.prepare(workload, seed, ROOT / "fixtures", work)
+        assert inputs.jobs
+        assert all(Path(path).is_file() for path in inputs.algebra_files)
+
+
+@pytest.mark.parametrize(
+    "workload, key",
+    [
+        ("scalar-complex", "cohomology filippov_n3 -p 2 --mode split"),
+        ("adjoint-complex", None),
+    ],
+)
+def test_cocycle_files_pass_the_harness_check(workload, key, tmp_path, monkeypatch):
+    # one job of each cohomology workload (key None: the seed twist's),
+    # run and re-checked the way a timed pass is: dim_Z cochains in the
+    # written basis file, each with dz = 0
+    workloads = load_layerbench("workloads")
+    checks = load_layerbench("checks")
     inputs = workloads.prepare(workload, 1, ROOT / "fixtures", tmp_path)
-    assert inputs.jobs
-    assert all(Path(path).is_file() for path in inputs.algebra_files)
+    job = next(job for job in inputs.jobs if job.key == key)
+    cwd = tmp_path / "job"
+    cwd.mkdir()
+    monkeypatch.chdir(cwd)  # cohomology writes its cocycle basis here
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert cli.main(list(job.argv)) == 0
+    assert json.loads(out.getvalue())["dimensions"]["dim_Z"] > 0
+    assert checks.check_cocycle_files(job, out.getvalue(), cwd) == []
 
 
 def test_traced_run_records_layer_spans(tmp_path, monkeypatch):
