@@ -63,12 +63,16 @@ def equivariant_basis(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> lina
     return linalg.kernel_basis(equivariance_matrix(alg, p, mode))
 
 
+def _stored_values(psi: Cochain) -> dict:
+    """psi's stored values as sparse vectors, the input of a scatter."""
+    return {key: {r: v for r, v in enumerate(vec) if v} for key, vec in psi.coeffs.items()}
+
+
 def equivariance_violations(alg: HomNambuAlgebra, psi: Cochain):
     """Keys where a . psi != psi o a, in key order; empty iff psi is
     equivariant."""
-    values = {key: {r: v for r, v in enumerate(vec) if v} for key, vec in psi.coeffs.items()}
     return cochains.compatibility_violations(
-        alg, adjoint_representation(alg), psi.space.degree, psi.space.mode, values
+        alg, adjoint_representation(alg), psi.space.degree, psi.space.mode, _stored_values(psi)
     )
 
 
@@ -136,10 +140,8 @@ def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain, residual
     bad = equivariance_violations(alg, psi)
     if bad:
         raise NotEquivariantError(bad[0])
-    flat = linalg.sparse_mat_vec(
-        coboundary_matrix(alg, 1, psi.space.mode, "split"), psi.to_flat()
-    )
-    cocycle = not any(flat)
+    scatter = cochains.coboundary_scatter(alg, adjoint_representation(alg), 1, psi.space.mode)[2]
+    cocycle = not cochains.scatter_values(_stored_values(psi), scatter)
     if residuals is None:
         residuals = deformation_residuals(alg, psi)
     residual_zero = not residuals

@@ -4,10 +4,11 @@ Every rank, kernel, image and solve in :mod:`homnambu.linalg` ends in
 :func:`echelon_int`: sparse Gaussian elimination over the integers on
 rows stored as ``{column: int}`` dicts.  Rows are made primitive
 (coprime, positive lead) and kept once each, which leaves the row space
-as it is: the coboundary into split cochains repeats each fused row once
-per permutation of the last slot group, up to sign, and elimination
-would only reduce the repeats to zero (dropping them first is standard:
-LaMacchia & Odlyzko, CRYPTO 1990; Bouillaguet & Delaplace, CASC 2016).
+as it is: coboundary rows still repeat up to sign (the scalar degree-2
+operator of ``filippov_n3`` has 120 nonzero rows, 48 distinct), and
+elimination would only reduce the repeats to zero (dropping them first
+is standard: LaMacchia & Odlyzko, CRYPTO 1990; Bouillaguet & Delaplace,
+CASC 2016).
 Rows are taken shortest first (a cheap Markowitz order, as in Duff,
 Erisman & Reid, *Direct Methods for Sparse Matrices*) and reduced by
 their leading term against the pivot rows found so far, so only fill-in

@@ -78,13 +78,12 @@ def central_extension(alg: HomNambuAlgebra, phi: Cochain, lam=None) -> HomNambuA
     lam = linalg.vec(lam) if lam is not None else (ZERO,) * d
     if len(lam) != d:
         raise ValueError("lambda length mismatch")
-    flat = linalg.sparse_mat_vec(
-        coboundary_matrix(alg, 1, phi.space.mode, "split"), phi.to_flat()
+    _, space2, scatter = cochains.coboundary_scatter(
+        alg, trivial_representation(alg), 1, phi.space.mode, "split"
     )
-    if any(flat):
-        space2 = CochainSpace(alg, 2, "scalar", "split")
-        key = space2.keys[next(i for i, v in enumerate(flat) if v)]
-        b1, b2, z = key
+    values = {key: {0: v} for key, v in phi.coeffs.items()}
+    if nonzero := cochains.scatter_values(values, scatter):  # split keys sort in coordinate order
+        b1, b2, z = next(iter(nonzero))
         triple = (
             tuple(i + 1 for i in space2.wedge[b1]),
             tuple(i + 1 for i in space2.wedge[b2]),

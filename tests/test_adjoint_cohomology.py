@@ -27,6 +27,7 @@ from homnambu.fundamental import fundamental_of, l_action_sparse
 
 ONE = Fraction(1)
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+SPLIT_CAP = 20_000  # coordinates of the split output space a fusion check builds
 
 
 def test_zero_cochain_maps_to_zero():
@@ -118,9 +119,13 @@ def test_delta_preserves_equivariance():
 
 
 def test_coboundary_preserves_fusion():
-    for alg in (fixtures.filippov_n3(), fixtures.twisted_filippov_rotation()):
-        for p in (1, 2):
-            assert coboundary_preserves_fusion(alg, adjoint_representation(alg), p)
+    # every fixture file, perturbed_n3 too: fusion needs no fundamental identity
+    for path in sorted(FIXDIR.glob("*.alg")):
+        alg = load_algebra(path)
+        rep = adjoint_representation(alg)
+        for p in range(4):
+            if CochainSpace(alg, p + 1, "scalar", "split").dim * rep.dim <= SPLIT_CAP:
+                assert coboundary_preserves_fusion(alg, rep, p), (path.stem, p)
 
 
 def test_apply_coboundary_rejects_non_equivariant():

@@ -7,12 +7,14 @@ import math
 import random
 from fractions import Fraction
 from functools import cache, partial
+from pathlib import Path
 
 import pytest
 
 from homnambu import adjoint_cohomology, cochains, fixtures, linalg, scalar_cohomology
 from homnambu.bridge import BridgeCochain, bridge_coboundary, tensor_fundamental_of
 from homnambu.cochains import Cochain, CochainSpace
+from homnambu.formats import load_algebra
 from homnambu.fundamental import fundamental_of
 from homnambu.indices import exact, exact_vec, expand, sv_add
 from homnambu.algebra import HomNambuAlgebra, bracket_eval_sparse, is_valid
@@ -495,6 +497,69 @@ def test_not_a_cocycle_reports_first_key_in_order():
             tuple(i + 1 for i in space_out.wedge[b2]),
             z + 1,
         )
+
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
+SPLIT_CAP = 20_000  # coordinates of the split output space a fusion check builds
+
+
+@pytest.mark.parametrize("path", sorted(FIXDIR.glob("*.alg")), ids=lambda path: path.stem)
+def test_level_and_standard_coboundaries_preserve_fusion(path):
+    alg = load_algebra(path)
+    reps = {"level -1": level_representation(alg, -1), "level 1": level_representation(alg, 1)}
+    if path.stem == "sl2":
+        reps["standard"] = sl2_standard()
+    for label, rep in reps.items():
+        for p in range(4):
+            if CochainSpace(alg, p + 1, "scalar", "split").dim * rep.dim <= SPLIT_CAP:
+                assert cochains.coboundary_preserves_fusion(alg, rep, p), (label, p)
+
+
+ANSWER_FIXTURES = {
+    "filippov_n3": fixtures.filippov_n3,
+    "filippov_n3_reflected": fixtures.twisted_filippov_reflection,
+    "twisted_filippov_rotation": fixtures.twisted_filippov_rotation,
+    "sl2": fixtures.sl2,
+    "volume_d3_twisted": fixtures.volume_form_d3_twisted,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ANSWER_FIXTURES))
+def test_cocycles_are_the_kernel_of_the_pointwise_operator(name):
+    # reports eliminate the fused-output operator; the split-output one
+    # states d psi = 0 at every argument and must give the same RREF basis
+    alg = ANSWER_FIXTURES[name]()
+    for p in (1, 2):
+        split = scalar_cohomology.coboundary_matrix(alg, p, "fused", "split")
+        report = scalar_cohomology.cohomology(alg, p)
+        assert report.cocycle_basis.vectors == linalg.kernel_basis(split).vectors, p
+        split = linalg.stack(
+            adjoint_cohomology.coboundary_matrix(alg, p, "fused", "split"),
+            adjoint_cohomology.equivariance_matrix(alg, p),
+        )
+        report = adjoint_cohomology.cohomology(alg, p)
+        assert report.cocycle_basis.vectors == linalg.kernel_basis(split).vectors, p
+
+
+def test_reports_build_operators_into_their_own_mode(monkeypatch):
+    built = []
+    scatter_matrix = cochains.scatter_matrix
+
+    def spy(space_in, space_out, *args):
+        built.append((space_in.mode, (space_out.degree, space_out.mode)))
+        return scatter_matrix(space_in, space_out, *args)
+
+    monkeypatch.setattr(cochains, "scatter_matrix", spy)
+    alg = fixtures.filippov_n3()
+    reports = [(scalar_cohomology.cohomology, p) for p in (0, 1, 2)]
+    reports += [(adjoint_cohomology.cohomology, p) for p in (1, 2)]
+    for report, p in reports:
+        built.clear()
+        report(alg, p)
+        assert built and all(out != (p + 1, "split") for _, out in built), (report, p)
+    built.clear()
+    scalar_cohomology.cohomology(alg, 2, "split")
+    assert ("split", (3, "split")) in built
 
 
 def test_scatter_reads_no_functional_and_no_more_than_the_gather(monkeypatch):
