@@ -63,16 +63,11 @@ def equivariant_basis(alg: HomNambuAlgebra, p: int, mode: str = "fused") -> lina
     return linalg.kernel_basis(equivariance_matrix(alg, p, mode))
 
 
-def _stored_values(psi: Cochain) -> dict:
-    """psi's stored values as sparse vectors, the input of a scatter."""
-    return {key: {r: v for r, v in enumerate(vec) if v} for key, vec in psi.coeffs.items()}
-
-
 def equivariance_violations(alg: HomNambuAlgebra, psi: Cochain):
     """Keys where a . psi != psi o a, in key order; empty iff psi is
     equivariant."""
     return cochains.compatibility_violations(
-        alg, adjoint_representation(alg), psi.space.degree, psi.space.mode, _stored_values(psi)
+        alg, adjoint_representation(alg), psi.space.degree, psi.space.mode, psi.coeffs
     )
 
 
@@ -122,8 +117,7 @@ def deformation_residuals(alg: HomNambuAlgebra, psi: Cochain):
     windex = psi.space.windex
 
     def psi_bracket(args):
-        value = psi.evaluate([wedge_of_vectors(windex, args[:-1])], args[-1])
-        return {r: v for r, v in enumerate(value) if v}
+        return psi.evaluate([wedge_of_vectors(windex, args[:-1])], args[-1])
 
     pairs = [
         (partial(bracket_eval_sparse, alg), lambda key: psi_bracket([{i: ONE} for i in key])),
@@ -141,7 +135,7 @@ def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain, residual
     if bad:
         raise NotEquivariantError(bad[0])
     scatter = cochains.coboundary_scatter(alg, adjoint_representation(alg), 1, psi.space.mode)[2]
-    cocycle = not cochains.scatter_values(_stored_values(psi), scatter)
+    cocycle = not cochains.scatter_values(psi.coeffs, scatter)
     if residuals is None:
         residuals = deformation_residuals(alg, psi)
     residual_zero = not residuals

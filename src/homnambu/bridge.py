@@ -26,24 +26,28 @@ part of the cochain definition the four-term operator comes from, and
 dropping it breaks the square for non-trivial twists), which transports
 d o d = 0 into the four-term complex.
 
-Every kernel here scatters from phi's stored keys: each formula is read
-backwards, from one stored key u to the output keys its value phi(u)
-adds to, through inverse tables built once per call.  Left and right
-multiplication by x_a = a^(p-1)(b_a) become
-m -> [(a, weight, bracket cell)], so [x_a, phi(u)] and [phi(u), x_a]
-are formed once per key; the twist becomes t -> [(a, w)], the bracket
-t -> [(a, b, w)] and the block basis x -> [(t, s)].  Each output key is
-summed in one dict, and a sum is dropped as soon as it cancels to zero,
-so the work follows phi's support instead of all dim^(p+1) output
-tuples.
-:func:`leibniz_coboundary_matrix` is built column by column from the
-same per-key statement, each column being the image of one basis
-cochain.  The four-term coboundary is not restated here: it is
-:func:`cochains.coboundary_scatter` in the internal ``tensor`` mode
-(the split layout over tensor blocks, no canonicalization) with adjoint
-values, applied to phi's stored keys by :func:`cochains.scatter_values`,
-and the equivariance test is :func:`cochains.compatibility_violations`
-in the same mode.
+Every cochain here is a :class:`cochains.Cochain`: phi in the internal
+``tensor`` layout (p tensor blocks plus one algebra slot, adjoint
+values), its lift and every Leibniz cochain in the ``leibniz`` layout
+(p-tuples of tensor blocks, values in T).  Each map is stated once in the
+``(scalars, maps)`` shape of :func:`cochains.coboundary_scatter`, read
+backwards from one stored key u to the output keys its value phi(u)
+adds to, through inverse tables built once per call:
+
+* :func:`leibniz_scatter`: the bracket terms are scalar weights (the
+  twist read as t -> [(a, w)], the bracket as t -> [(a, b, w)]); left
+  and right multiplication by x_a = a^(p-1)(b_a) are two families of
+  maps of the value, with columns [x_a, b_m] and [b_m, x_a];
+* :func:`lift_scatter`: a stored key (u, x) feeds one family, the slot
+  maps of the blocks t that hold x, each placed at (u, t).
+
+:func:`cochains.scatter_values` applies them to phi's stored keys, so
+the work follows phi's support instead of all dim^(p+1) output tuples,
+and :func:`leibniz_coboundary_matrix` is :func:`cochains.scatter_matrix`
+of the Leibniz scatter.  The four-term coboundary is not restated here:
+it is :func:`cochains.coboundary_scatter` in tensor mode with adjoint
+values, and the equivariance test is
+:func:`cochains.compatibility_violations` in the same mode.
 Integral values (tensor table, twist and L-action columns, phi's
 values) are Python ints; other rationals stay ``Fraction``, so results
 are exact.
@@ -52,22 +56,28 @@ are exact.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra
-from .cochains import coboundary_scatter, compatibility_violations, scatter_values
+from .cochains import (
+    Cochain,
+    CochainSpace,
+    _family,
+    _grid,
+    _inverse,
+    _twisted,
+    coboundary_scatter,
+    compatibility_violations,
+    scatter_matrix,
+    scatter_values,
+)
 from .derivations import adjoint_representation
 from .fundamental import HomLeibnizAlgebra, fundamental_of
 # kept reachable here: layerbench/tracing.py TARGETS wraps both by name in bridge
 from .fundamental import build_tensor_fundamental, tensor_fundamental_of, tensor_of_vectors
-from .indices import exact_vec, expand, sort_with_sign, sv_add
-
-
-def _exact_values(coeffs: dict) -> dict:
-    return {key: ev for key, vec in coeffs.items() if (ev := exact_vec(vec))}
+from .indices import exact_vec, sort_with_sign, sv_add
 
 
 def _slot_map(f, vectors, s: int, dim: int) -> dict:
@@ -91,185 +101,91 @@ def wedge_projection(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra):
     return cols
 
 
-# -- Leibniz cochains ---------------------------------------------------------
+# -- the Leibniz coboundary ---------------------------------------------------
 
 
-@dataclass
-class LeibnizCochain:
-    """Plain multilinear map on p-tuples of Leibniz-algebra elements with
-    values in the Leibniz algebra (sparse tensor-block coordinates); no
-    symmetry is imposed.  Degree 0 is a single element, stored at the
-    empty tuple."""
+def leibniz_scatter(leib: HomLeibnizAlgebra, p: int):
+    """The degree-p Leibniz coboundary read backwards, in the format of
+    :func:`cochains.coboundary_scatter`, with x_a = a^(p-1)(b_a) (a^0 in
+    degree 0) and 1-based k, j as in the module docstring:
 
-    leib: HomLeibnizAlgebra
-    degree: int
-    coeffs: dict  # {tuple: sparse vector}
-
-    @classmethod
-    def zero(cls, leib, degree):
-        return cls(leib, degree, {})
-
-    def is_zero(self) -> bool:
-        return all(not v for v in self.coeffs.values())
-
-
-def _add_scaled(acc: dict, key, w, vec: dict) -> None:
-    """``acc[key] += w * vec``, one sum dict per key; components and keys
-    that sum to zero are dropped at once (d of a lifted cochain touches
-    several times the entries it keeps)."""
-    target = acc.get(key)
-    if target is None:
-        target = acc[key] = {}
-    for r, c in vec.items():
-        if new := target.get(r, 0) + w * c:
-            target[r] = new
-        else:
-            del target[r]
-    if not target:
-        del acc[key]
-
-
-def _compact(acc: dict) -> dict:
-    """``acc`` with every dict rebuilt to the size of its entries: a dict
-    keeps the room its cancelled entries took."""
-    for key, vec in acc.items():
-        acc[key] = {r: v for r, v in vec.items()}
-    return dict(acc)
-
-
-def _leibniz_tables(leib: HomLeibnizAlgebra, p: int):
-    """The degree-p coboundary read backwards, from phi's value at one
-    key to the terms it feeds, with x_a = a^(p-1)(b_a) (a^0 in degree 0)
-    and [x_a, b_m] = sum_i x_a[i] [b_i, b_m] read off the bracket table:
-
-    * ``left[m]``: ``(a, x_a[i], [b_i, b_m])`` and ``right[m]``:
-      ``(a, x_a[i], [b_m, b_i])``, the cells shared with ``leib.table``;
-    * ``twist[t]``: ``(a, w)`` where a(b_a) has w at b_t;
-    * ``bracket[t]``: ``(a, b, w)`` where [b_a, b_b] has w at b_t.
+    * the bracket terms (-1)^k phi(..., [a_k, a_j], ...) are scalar
+      weights: slot j-1 of the stored key is read off the bracket table,
+      every other slot off the twist, a goes to slot k < j and b to j;
+    * left multiplication a -> [x_a, phi(u)] is one family, placed at u
+      with a inserted in slot k <= p with sign (-1)^(k-1), and right
+      multiplication a -> [phi(u), x_a] another, placed at (u, a) with
+      sign (-1)^(p+1).  Their columns [x_a, b_m] and [b_m, x_a] are the
+      cells of ``leib.table`` when x_a = b_a.
     """
+    space_in = CochainSpace(leib.source, p, "adjoint", "leibniz")
+    space_out = CochainSpace(leib.source, p + 1, "adjoint", "leibniz")
     dim, table = leib.dim, leib.table
     xs = [{a: 1} for a in range(dim)]
     for _ in range(max(p - 1, 0)):
         xs = [leib.twist_sparse(x) for x in xs]
-    left, right, twist, bracket = ([[] for _ in range(dim)] for _ in range(4))
+    left, right = [[] for _ in range(dim)], [[] for _ in range(dim)]  # m -> [(a, column)]
     for a, x in enumerate(xs):
-        for i, w in x.items():
-            for m in range(dim):
-                if table[i][m]:
-                    left[m].append((a, w, table[i][m]))
-                if table[m][i]:
-                    right[m].append((a, w, table[m][i]))
-    for a, col in enumerate(leib.twist_cols):
-        for t, w in col.items():
-            twist[t].append((a, w))
-    for a, row in enumerate(table):
-        for b, cell in enumerate(row):
-            for t, w in cell.items():
-                bracket[t].append((a, b, w))
-    return left, right, twist, bracket
+        unit = x == {a: 1}
+        for m in range(dim):
+            if unit:
+                lcol, rcol = table[a][m], table[m][a]
+            else:
+                lcol = exact_vec(leib.bracket_sparse(x, {m: 1}))
+                rcol = exact_vec(leib.bracket_sparse({m: 1}, x))
+            if lcol:
+                left[m].append((a, lcol))
+            if rcol:
+                right[m].append((a, rcol))
+    twist, bracket = _inverse(enumerate(leib.twist_cols), dim), _inverse(_grid(table), dim)
+    sign, slots = 1 if p % 2 else -1, [(k, 1 - 2 * (k % 2)) for k in range(p)]
+
+    def scatter(u):
+        scalars = {}
+        twisted = [twist[x] for x in u]
+        for j in range(p):  # slot j of u read off the bracket, the others off the twist
+            for rest in itertools.product(*twisted[:j], *twisted[j + 1:]):
+                args, w = _twisted(rest)
+                head, tail = args[:j], args[j:]
+                for a, b, wb in bracket[u[j]]:
+                    args, wab = head + (b,) + tail, w * wb
+                    for k, s in slots[:j + 1]:  # (-1)^k with 1-based k: -s
+                        out = args[:k] + (a,) + args[k:]
+                        scalars[out] = scalars.get(out, 0) - s * wab
+        maps = [(right, lambda a: ((u + (a,), sign),))]
+        if p:
+            cuts = [(u[:k], u[k:], s) for k, s in slots]
+            maps.append((left, lambda a: [(head + (a,) + tail, s) for head, tail, s in cuts]))
+        return scalars, maps
+
+    return space_in, space_out, scatter
 
 
-def _scatter_leibniz(tables, p: int, u: tuple, vec: dict, acc: dict) -> None:
-    """Add to ``acc`` every term of d phi that reads phi at the p-tuple
-    ``u``, where phi(u) = ``vec`` (1-based k, j as in the module
-    docstring)."""
-    left, right, twist, bracket = tables
-    lmul, rmul = {}, {}  # a -> [x_a, phi(u)] and a -> [phi(u), x_a]
-    for m, c in vec.items():
-        for a, w, cell in left[m]:
-            _add_scaled(lmul, a, w * c, cell)
-        for a, w, cell in right[m]:
-            _add_scaled(rmul, a, w * c, cell)
-    # (-1)^(k-1) [x_a, phi(u)] at u with a inserted in slot k <= p
-    for a, col in lmul.items():
-        for k in range(p):
-            _add_scaled(acc, u[:k] + (a,) + u[k:], 1 if k % 2 == 0 else -1, col)
-    # (-1)^(p+1) [phi(u), x_a] at (u, a)
-    sign = 1 if p % 2 else -1
-    for a, col in rmul.items():
-        _add_scaled(acc, u + (a,), sign, col)
-    # (-1)^k phi(..., [a_k, a_j], ...): slot j-1 of u is read off the
-    # bracket, every other slot off the twist; a goes to slot k < j, b to j
-    twisted = [twist[x] for x in u]
-    for j in range(1, p + 1):
-        for choice in itertools.product(*twisted[:j - 1], bracket[u[j - 1]], *twisted[j:]):
-            a = choice[j - 1][0]
-            args, w = [], 1
-            for item in choice:  # (a', w') from the twist, (a, b, w') from the bracket
-                args.append(item[-2])
-                w *= item[-1]
-            args = tuple(args)
-            for k in range(j):
-                _add_scaled(acc, args[:k] + (a,) + args[k:], -w if k % 2 == 0 else w, vec)
+def _applied(phi: Cochain, statement) -> Cochain:
+    """phi under the map of a scatter statement ``(space_in, space_out,
+    scatter)``."""
+    _, space_out, scatter = statement
+    return Cochain(space_out, scatter_values(phi.coeffs, scatter))
 
 
-def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: LeibnizCochain) -> LeibnizCochain:
-    """The twisted Loday-Pirashvili coboundary; degree 0 sends an
-    element c to a -> -[c, a]."""
-    p = phi.degree
-    tables = _leibniz_tables(leib, p)
-    acc = {}
-    for u, vec in phi.coeffs.items():
-        if vec := exact_vec(vec):
-            _scatter_leibniz(tables, p, u, vec, acc)
-    return LeibnizCochain(leib, p + 1, _compact(acc))
+def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: Cochain) -> Cochain:
+    """The twisted Loday-Pirashvili coboundary of a Leibniz-layout
+    cochain; degree 0 sends an element c to a -> -[c, a]."""
+    return _applied(phi, leibniz_scatter(leib, phi.space.degree))
 
 
 def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseMatrix:
     """Operator matrix over lex-ordered tuple coordinates: component m of
     phi at the k-th p-tuple is column k * dim + m, component r of d phi at
-    the k-th (p+1)-tuple is row k * dim + r.  Column by column, each the
-    image of one basis cochain; the row count is dim^(p+2), so it is
-    meant for small algebras."""
-    dim = leib.dim
-    tables = _leibniz_tables(leib, p)
-    entries = {}
-    for k, u in enumerate(itertools.product(range(dim), repeat=p)):
-        for m in range(dim):
-            acc = {}
-            _scatter_leibniz(tables, p, u, {m: 1}, acc)
-            for key, vec in acc.items():
-                row = 0
-                for a in key:
-                    row = row * dim + a
-                entries.update(((row * dim + r, k * dim + m), v) for r, v in vec.items())
-    return linalg.SparseMatrix(dim ** (p + 2), dim ** (p + 1), entries)
+    the k-th (p+1)-tuple is row k * dim + r.  The row count is
+    dim^(p+2), so it is meant for small algebras."""
+    return scatter_matrix(*leibniz_scatter(leib, p), leib.dim)
 
 
 # -- cochains with tensor blocks plus one algebra slot ------------------------
 
 
-@dataclass(eq=False)
-class BridgeCochain:
-    """Map on p tensor blocks plus one algebra argument, algebra-valued.
-    Degree 0 is a linear endomorphism, column z stored at key ``(z,)``."""
-
-    alg: HomNambuAlgebra
-    leib: HomLeibnizAlgebra
-    degree: int
-    coeffs: dict  # {(blocks..., z): sparse vector}
-
-    @classmethod
-    def zero(cls, alg, leib, degree):
-        return cls(alg, leib, degree, {})
-
-    def evaluate(self, blocks, z) -> dict:
-        if len(blocks) != self.degree:
-            raise ValueError("block count mismatch")
-        out = {}
-        for ids, w in expand(blocks):
-            for zi, zc in z.items():
-                for k, v in self.coeffs.get(ids + (zi,), {}).items():
-                    sv_add(out, k, w * zc * v)
-        return out
-
-    def stored_values(self) -> dict:
-        """Stored values keyed ``(blocks..., z)`` with integral entries as
-        ints."""
-        return _exact_values(self.coeffs)
-
-
-def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
+def bridge_coboundary(phi: Cochain) -> Cochain:
     """The four-term coboundary on tensor-block cochains (p >= 0): the
     scatter of :func:`cochains.coboundary_scatter` in tensor mode with
     adjoint values, from phi's stored keys.
@@ -278,71 +194,93 @@ def bridge_coboundary(phi: BridgeCochain) -> BridgeCochain:
     sum_i [x_1, ..., phi(x_i), ..., x_n] - phi([x_1, ..., x_n]),
     which is the general formula with a^0 = id.
     """
-    alg, p = phi.alg, phi.degree
+    alg, p = phi.space.alg, phi.space.degree
     _, _, scatter = coboundary_scatter(alg, adjoint_representation(alg), p, "tensor")
-    return BridgeCochain(alg, phi.leib, p + 1, scatter_values(phi.stored_values(), scatter))
+    space_out = CochainSpace(alg, p + 1, "adjoint", "tensor")
+    return Cochain(space_out, scatter_values(phi.coeffs, scatter))
 
 
 # -- the lift -----------------------------------------------------------------
 
 
-def _scatter_lift(phi: BridgeCochain, ops) -> LeibnizCochain:
+def _lift_scatter(alg: HomNambuAlgebra, p: int, ops):
     """(lift phi)(u, t) = sum over slots s of ops[t][s] applied to
-    phi(u, x^s), where t is the block x^1 x ... x x^(n-1); read from
-    phi's side, a stored key (u, x) adds ops[t][s](phi(u, x)) to (u, t)
-    for every block t with x in slot s."""
-    leib = phi.leib
-    blocks = [[] for _ in range(phi.alg.dim)]  # x -> [(t, s)] with leib.basis[t][s] == x
-    for t, block in enumerate(leib.basis):
+    phi(u, x^s), where t is the block x^1 x ... x x^(n-1), read from
+    phi's side in the format of :func:`cochains.coboundary_scatter`: a
+    stored key (u, x) feeds one family, the maps t -> sum of ops[t][s]
+    over the slots s where t holds x, each placed at (u, t)."""
+    space_in = CochainSpace(alg, p, "adjoint", "tensor")
+    space_out = CochainSpace(alg, p + 1, "adjoint", "leibniz")
+    maps = [{} for _ in range(alg.dim)]  # x -> t -> {m: column}
+    for t, block in enumerate(space_out.wedge):
         for s, x in enumerate(block):
-            blocks[x].append((t, s))
-    acc = {}
-    for key, vec in phi.coeffs.items():
-        vec, u = exact_vec(vec), key[:-1]
-        for t, s in blocks[key[-1]]:
-            op = ops[t][s]
-            for m, c in vec.items():
-                if col := op.get(m):
-                    _add_scaled(acc, u + (t,), c, col)
-    return LeibnizCochain(leib, phi.degree + 1, _compact(acc))
+            if (op := maps[x].get(t)) is None:
+                maps[x][t] = ops[t][s]
+                continue
+            summed = {m: dict(col) for m, col in op.items()}  # x in two slots of t
+            for m, col in ops[t][s].items():
+                target = summed.setdefault(m, {})
+                for r, v in col.items():
+                    target[r] = target.get(r, 0) + v
+            maps[x][t] = {m: col for m, vec in summed.items() if (col := exact_vec(vec))}
+    families = [_family(at, alg.dim) for at in maps]
+
+    def scatter(key):
+        u = key[:-1]
+        return {}, [(families[key[-1]], lambda t: ((u + (t,), 1),))]
+
+    return space_in, space_out, scatter
 
 
-def delta_lift(phi: BridgeCochain) -> LeibnizCochain:
-    """Lift a p-block cochain to a (p+1)-argument Leibniz cochain by
-    feeding each factor of the last block through it."""
-    alg, leib = phi.alg, phi.leib
+def _twisted_basis(alg: HomNambuAlgebra, p: int):
+    """a^p(b_x) for every basis index x, integral entries as ints, the
+    tensor blocks and the tensor coordinates of a product of sparse
+    vectors."""
+    leib = tensor_fundamental_of(alg)
+    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(alg.dim)]
+    return alpha_p, leib.basis, partial(tensor_of_vectors, leib.index)
+
+
+def lift_scatter(alg: HomNambuAlgebra, p: int):
+    """The lift of degree-p tensor-mode cochains as a scatter: the slot
+    maps b_m -> a^p(x^1) x ... x b_m x ... x a^p(x^(n-1)) of each block."""
     d, n = alg.dim, alg.arity
-    alpha_p = [exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
-    tensor = partial(tensor_of_vectors, leib.index)
-    ops = [
-        [_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)]
-        for t in leib.basis
-    ]
-    return _scatter_lift(phi, ops)
+    alpha_p, blocks, tensor = _twisted_basis(alg, p)
+    ops = [[_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)] for t in blocks]
+    return _lift_scatter(alg, p, ops)
 
 
-def delta_lift_ternary(phi: BridgeCochain) -> LeibnizCochain:
-    """The two-term ternary form of the lift; must agree with
-    :func:`delta_lift` at arity 3 (dual code path)."""
-    alg, leib = phi.alg, phi.leib
+def ternary_lift_scatter(alg: HomNambuAlgebra, p: int):
+    """The two-term ternary form of :func:`lift_scatter` (dual code path)."""
     if alg.arity != 3:
         raise ValueError("ternary lift needs arity 3")
     d = alg.dim
-    alpha_p = [exact_vec(alg.twist_column_sparse(i, phi.degree)) for i in range(d)]
-    tensor = partial(tensor_of_vectors, leib.index)
+    alpha_p, blocks, tensor = _twisted_basis(alg, p)
     # phi(..., x1) (x) a^p(x2) + a^p(x1) (x) phi(..., x2)
     first = [_slot_map(tensor, [None, alpha_p[x]], 0, d) for x in range(d)]
     second = [_slot_map(tensor, [alpha_p[x], None], 1, d) for x in range(d)]
-    return _scatter_lift(phi, [(first[x2], second[x1]) for x1, x2 in leib.basis])
+    return _lift_scatter(alg, p, [(first[x2], second[x1]) for x1, x2 in blocks])
 
 
-def check_commuting_square(phi: BridgeCochain):
+def delta_lift(phi: Cochain) -> Cochain:
+    """Lift a p-block cochain to a (p+1)-argument Leibniz cochain by
+    feeding each factor of the last block through it."""
+    return _applied(phi, lift_scatter(phi.space.alg, phi.space.degree))
+
+
+def delta_lift_ternary(phi: Cochain) -> Cochain:
+    """The two-term ternary form of the lift; must agree with
+    :func:`delta_lift` at arity 3 (dual code path)."""
+    return _applied(phi, ternary_lift_scatter(phi.space.alg, phi.space.degree))
+
+
+def check_commuting_square(phi: Cochain):
     """Evaluate d(lift phi) - lift(delta phi) on all basis tuples.
 
     Returns ``(holds, residuals)`` with residuals as a tuple -> vector
     table (empty iff the square commutes).
     """
-    leib = phi.leib
+    leib = tensor_fundamental_of(phi.space.alg)
     lhs = leibniz_coboundary(leib, delta_lift(phi))
     rhs = delta_lift(bridge_coboundary(phi))
     residuals = {}
@@ -355,9 +293,10 @@ def check_commuting_square(phi: BridgeCochain):
     return (not residuals), residuals
 
 
-def pullback_wedge_cochain(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra, psi) -> BridgeCochain:
+def pullback_wedge_cochain(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra, psi) -> Cochain:
     """Inject a wedge-space cochain (from the equivariant complex) along
-    the antisymmetrization of each tensor block."""
+    the antisymmetrization of each tensor block; integral values are
+    stored as ints."""
     proj = wedge_projection(alg, leib_t)
     p = psi.space.degree
     out = {}
@@ -366,34 +305,28 @@ def pullback_wedge_cochain(alg: HomNambuAlgebra, leib_t: HomLeibnizAlgebra, psi)
         if any(not b for b in blocks):
             continue
         for z in range(alg.dim):
-            val = psi.evaluate(blocks, {z: 1})
-            sval = {i: v for i, v in enumerate(val) if v}
-            if sval:
-                out[args + (z,)] = sval
-    return BridgeCochain(alg, leib_t, p, out)
+            if val := psi.evaluate(blocks, {z: 1}):
+                out[args + (z,)] = exact_vec(val)
+    return Cochain(CochainSpace(alg, p, "adjoint", "tensor"), out)
 
 
-def bridge_equivariance_violations(phi: BridgeCochain):
+def bridge_equivariance_violations(phi: Cochain):
     """Keys ``(blocks..., z)`` where twist . phi != phi o twist, in key
     order (empty iff phi is equivariant): the nonzero rows of the
     tensor-mode equivariance operator on phi."""
-    alg = phi.alg
+    alg = phi.space.alg
     return compatibility_violations(
-        alg, adjoint_representation(alg), phi.degree, "tensor", phi.stored_values()
+        alg, adjoint_representation(alg), phi.space.degree, "tensor", phi.coeffs
     )
 
 
 def random_bridge_cochain(alg: HomNambuAlgebra, leib: HomLeibnizAlgebra, p: int, rng, span=2):
-    """Random integer-coefficient cochain (no symmetry constraints)."""
+    """Random integer-coefficient tensor-mode cochain (no symmetry
+    constraints)."""
     out = {}
     for args in itertools.product(range(leib.dim), repeat=p):
         for z in range(alg.dim):
-            vec = {
-                r: Fraction(rng.randint(-span, span))
-                for r in range(alg.dim)
-                if rng.random() < 0.5
-            }
-            vec = {r: v for r, v in vec.items() if v}
-            if vec:
+            vec = {r: rng.randint(-span, span) for r in range(alg.dim) if rng.random() < 0.5}
+            if vec := {r: v for r, v in vec.items() if v}:
                 out[args + (z,)] = vec
-    return BridgeCochain(alg, leib, p, out)
+    return Cochain(CochainSpace(alg, p, "adjoint", "tensor"), out)

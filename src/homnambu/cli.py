@@ -21,7 +21,7 @@ from . import adjoint_cohomology, algebra, bridge, derivations, formats
 from . import fundamental as fundamental_mod
 from . import scalar_cohomology
 from .cochains import Cochain, CochainSpace
-from .indices import sv_add
+from .indices import exact_vec, sv_add
 
 OK, PARSE_ERROR, CHECK_FAILED, PRECONDITION = 0, 2, 3, 4
 
@@ -288,7 +288,7 @@ def cmd_deform_check(args) -> tuple:
     return report, OK if verdict else CHECK_FAILED
 
 
-def bridge_input_cochain(alg, leib, degree: int, seed: int) -> bridge.BridgeCochain:
+def bridge_input_cochain(alg, leib, degree: int, seed: int) -> Cochain:
     """The random equivariant cochain ``bridge-check --seed`` lifts: an
     integer combination (coefficients -3 to 3) of the commutant in
     degree 0, of the equivariant basis pulled back to tensor blocks
@@ -301,7 +301,8 @@ def bridge_input_cochain(alg, leib, degree: int, seed: int) -> bridge.BridgeCoch
             if c:
                 for i, x in enumerate(v):
                     sv_add(cols.setdefault((i % alg.dim,), {}), i // alg.dim, c * x)
-        return bridge.BridgeCochain(alg, leib, 0, cols)
+        space = CochainSpace(alg, 0, "adjoint", "tensor")
+        return Cochain(space, {key: exact_vec(cols[key]) for key in sorted(cols) if cols[key]})
     psi = adjoint_cohomology.random_equivariant_cochain(alg, degree, rng)
     return bridge.pullback_wedge_cochain(alg, leib, psi)
 

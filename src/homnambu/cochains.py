@@ -4,10 +4,13 @@ A degree-p cochain takes p arguments from the fundamental set (wedges of
 n-1 algebra elements) plus one algebra element, i.e. p(n-1)+1 vector
 slots, and takes values in the module V of a representation (rho, nu):
 rho sends n-1 algebra elements, skew, to an endomorphism of V and nu is
-a linear map of V.  :class:`Cochain` holds scalar values (V = Q) or
-algebra elements (the adjoint module).
+a linear map of V.  :class:`Cochain` is the one container for every
+kind and layout: ``{key: {r: v}}``, the nonzero components v of the value
+at each key with a stored nonzero value, scalar values (V = Q) at
+component 0 and algebra elements (the adjoint module) at their basis
+indices.
 
-Three storage modes fix the symmetry type:
+Four storage modes fix the symmetry type:
 
 * ``fused`` (default): the last wedge block and the final slot together
   form one fully skew group of n indices.  This is the space the
@@ -20,12 +23,17 @@ Three storage modes fix the symmetry type:
   over (n-1)-fold tensor blocks, with the tables of
   :func:`~homnambu.fundamental.tensor_fundamental_of`; a key is its own
   argument tuple.  No file or command-line option names it.
+* ``leibniz`` (internal, for the bridge): plain p-tuples of tensor-block
+  ids, with adjoint values in the tensor fundamental algebra T itself
+  (its dimension is the block count); degree 0 is the empty key.  These
+  are the Hom-Leibniz cochains of T with values in T.
 
 Canonical keys: ``(b_1, ..., b_{p-1}, m)`` in fused mode, with block ids
 ``b_i`` indexing the lexicographic wedge basis and ``m`` indexing
-increasing n-tuples; ``(b_1, ..., b_p, z)`` in the other modes with
-``z`` a basis index.  Value component c of key number k is coordinate
-k * dim V + c.
+increasing n-tuples; ``(b_1, ..., b_p, z)`` in split and tensor mode
+with ``z`` a basis index; ``(b_1, ..., b_p)`` in Leibniz mode.  Keys are
+numbered in sorted order (:meth:`CochainSpace.index`), and value
+component c of key number k is coordinate k * dim V + c.
 
 The degree-p coboundary is the sum of four terms (1-based signs, a the
 twist, [x_i, x_j] the fundamental-set bracket, L(x).z = [x, z] and
@@ -47,11 +55,14 @@ there are no bracket pairs, a^0 = id, and the four terms reduce to
 
 The operator is stated once, as a scatter (:func:`coboundary_scatter`):
 the four terms read backwards, from one input key to every output key
-that reads psi there.  :func:`scatter_matrix` builds the sparse matrix
-from it column by column, and :func:`scatter_values` applies it to
-stored values, visiting only the stored keys; the four-term coboundary
-of :mod:`homnambu.bridge` is the tensor-mode scatter under
-:func:`scatter_values` (its Leibniz complex and lift are stated there).
+that reads psi there, as scalar weights (d1, d2) and families of linear
+maps of the value (d3, d4).  Every map of the package is stated in this
+shape: the equivariance rows here, and the Leibniz coboundary and the
+lift in :mod:`homnambu.bridge`.  :func:`scatter_matrix` is the one
+matrix builder, column by column, and :func:`scatter_values` the one
+pointwise apply: it visits only the stored keys, forms each map's image
+once per key from the value's side, and drops a sum as soon as it
+cancels.
 
 Compatible cochains satisfy nu o psi = psi o a: the kernel of
 :func:`equivariance_matrix`, checked pointwise by
@@ -68,7 +79,6 @@ action of :mod:`homnambu.derivations` states the derivation rule.
 from __future__ import annotations
 
 import itertools
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +91,7 @@ from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis, we
 
 ZERO = Fraction(0)
 
-MODES = ("fused", "split", "tensor")  # "tensor" is internal, for the bridge
+MODES = ("fused", "split", "tensor", "leibniz")  # the last two are internal, for the bridge
 
 
 class CochainError(ValueError):
@@ -90,7 +100,8 @@ class CochainError(ValueError):
 
 class CochainSpace:
     """Coordinate system for degree-p cochains of one algebra; degree 0
-    is Hom(L, V), whose one layout is the split one."""
+    is Hom(L, V), whose one layout is the split one (in the Leibniz
+    layout, the empty key)."""
 
     def __init__(self, alg: HomNambuAlgebra, degree: int, kind: str, mode: str = "fused"):
         if degree < 0:
@@ -102,40 +113,45 @@ class CochainSpace:
         self.alg = alg
         self.degree = degree
         self.kind = kind
-        self.mode = mode if degree else "split"
+        self.mode = mode if degree or mode == "leibniz" else "split"
         d, n = alg.dim, alg.arity
-        # the block basis: (n-1)-wedges, or all (n-1)-tuples in tensor mode
-        self.wedge = (tensor_basis if mode == "tensor" else wedge_basis)(d, n - 1)
+        # the block basis: (n-1)-wedges, or all (n-1)-tuples over tensor blocks
+        self.wedge = (wedge_basis if mode in ("fused", "split") else tensor_basis)(d, n - 1)
         self.windex = {t: i for i, t in enumerate(self.wedge)}
         self.nforms = wedge_basis(d, n)
         self.nindex = {t: i for i, t in enumerate(self.nforms)}
-        # the fused group of a wedge id and a final index: (n-form id, sign)
-        fused = [[sort_with_sign(t + (z,)) for z in range(d)] for t in self.wedge]
-        self.fuse = [[(self.nindex.get(m), sign) for m, sign in row] for row in fused]
-        self.value_dim = d if kind == "adjoint" else 1
         w = len(self.wedge)
-        nkeys = w ** (degree - 1) * len(self.nforms) if self.mode == "fused" else w ** degree * d
-        self.dim = nkeys * self.value_dim
+        # a key is `lead` block ids and one last digit below `last`: an
+        # n-form id (fused), a block id (Leibniz) or a basis index
+        self.lead = degree - 1 if self.mode in ("fused", "leibniz") else degree
+        self.last = {"fused": len(self.nforms), "leibniz": w}.get(self.mode, d)
+        self.nkeys = w ** self.lead * self.last if self.lead >= 0 else 1
+        self.value_dim = 1 if kind == "scalar" else w if self.mode == "leibniz" else d
+        self.dim = self.nkeys * self.value_dim
 
     @cached_property
     def keys(self) -> list:
         """Every canonical key in coordinate order, built on first use."""
-        w = len(self.wedge)
-        if self.mode == "fused":
-            return [
-                tuple(bs) + (m,)
-                for bs in itertools.product(range(w), repeat=self.degree - 1)
-                for m in range(len(self.nforms))
-            ]
+        if self.lead < 0:
+            return [()]
         return [
             tuple(bs) + (z,)
-            for bs in itertools.product(range(w), repeat=self.degree)
-            for z in range(self.alg.dim)
+            for bs in itertools.product(range(len(self.wedge)), repeat=self.lead)
+            for z in range(self.last)
         ]
 
+    def index(self, key) -> int:
+        """Position of a key in :attr:`keys`, read off its digits."""
+        i = 0
+        for b in key[:-1]:
+            i = i * len(self.wedge) + b
+        return i * self.last + key[-1] if key else 0
+
     @cached_property
-    def key_index(self) -> dict:
-        return {k: i for i, k in enumerate(self.keys)}
+    def fuse(self) -> list:
+        """The fused group of a wedge id and a final index: (n-form id, sign)."""
+        fused = [[sort_with_sign(t + (z,)) for z in range(self.alg.dim)] for t in self.wedge]
+        return [[(self.nindex.get(m), sign) for m, sign in row] for row in fused]
 
     def decode_args(self, key):
         """Canonical argument tuple of a key: (block ids, final index)."""
@@ -174,8 +190,10 @@ class CochainSpace:
 
 @dataclass
 class Cochain:
-    """Stored coefficients over a space; scalar values are Fractions,
-    adjoint values are length-d tuples."""
+    """Stored values over a space, ``{key: {r: v}}`` with v the
+    component r of the value at key, for every kind and layout: a scalar
+    value is component 0.  Only nonzero components and values are
+    stored, and every builder here stores keys in sorted order."""
 
     space: CochainSpace
     coeffs: dict
@@ -189,26 +207,18 @@ class Cochain:
         flat = list(flat)
         if len(flat) != space.dim:
             raise CochainError("flat vector length mismatch")
-        keys, dv = space.keys, space.value_dim
-        if space.kind == "scalar":
-            return cls(space, {keys[i]: Fraction(v) for i, v in enumerate(flat) if v})
-        values = {}  # entry i is component i % dv of key number i // dv
-        for i, v in enumerate(flat):
+        keys, dv, coeffs = space.keys, space.value_dim, {}
+        for i, v in enumerate(flat):  # entry i is component i % dv of key number i // dv
             if v:
-                values.setdefault(keys[i // dv], [ZERO] * dv)[i % dv] = Fraction(v)
-        return cls(space, {key: tuple(vecv) for key, vecv in values.items()})
+                coeffs.setdefault(keys[i // dv], {})[i % dv] = Fraction(v)
+        return cls(space, coeffs)
 
     def to_flat(self) -> tuple:
-        out = [ZERO] * self.space.dim
-        if self.space.kind == "scalar":
-            for key, v in self.coeffs.items():
-                out[self.space.key_index[key]] = v
-        else:
-            d = self.space.value_dim
-            for key, vecv in self.coeffs.items():
-                base = self.space.key_index[key] * d
-                for c, v in enumerate(vecv):
-                    out[base + c] = v
+        out, dv = [ZERO] * self.space.dim, self.space.value_dim
+        for key, vec in self.coeffs.items():
+            base = self.space.index(key) * dv
+            for r, v in vec.items():
+                out[base + r] = v
         return tuple(out)
 
     @classmethod
@@ -216,37 +226,20 @@ class Cochain:
         flat = [Fraction(rng.randint(-span, span)) for _ in range(space.dim)]
         return cls.from_flat(space, flat)
 
-    def value(self, block_ids, z):
-        """Value at blocks given by wedge ids and a final basis index."""
+    def value(self, block_ids, z) -> dict:
+        """Sparse value at blocks given by wedge ids and a final basis index."""
         key, sign = self.space.canonical_key(tuple(block_ids), z)
-        if sign == 0:
-            return ZERO if self.space.kind == "scalar" else (ZERO,) * self.space.value_dim
-        stored = self.coeffs.get(key)
-        if self.space.kind == "scalar":
-            return sign * stored if stored else ZERO
-        if stored is None:
-            return (ZERO,) * self.space.value_dim
-        return tuple(sign * v for v in stored)
+        stored = self.coeffs.get(key) if sign else None
+        return {r: sign * v for r, v in stored.items()} if stored else {}
 
-    def evaluate(self, blocks, z):
+    def evaluate(self, blocks, z) -> dict:
         """Multilinear evaluation at sparse arguments (same shapes as
-        :meth:`CochainSpace.functional`)."""
-        fn = self.space.functional(blocks, z)
-        if self.space.kind == "scalar":
-            total = ZERO
-            for key, w in fn.items():
-                v = self.coeffs.get(key)
-                if v:
-                    total += w * v
-            return total
+        :meth:`CochainSpace.functional`), as a sparse value."""
         total = {}
-        for key, w in fn.items():
-            stored = self.coeffs.get(key)
-            if stored:
-                for c, v in enumerate(stored):
-                    if v:
-                        sv_add(total, c, w * v)
-        return tuple(total.get(i, ZERO) for i in range(self.space.value_dim))
+        for key, w in self.space.functional(blocks, z).items():
+            for r, v in self.coeffs.get(key, {}).items():
+                sv_add(total, r, w * v)
+        return total
 
 
 def _rho_columns(rep) -> dict:
@@ -317,17 +310,35 @@ def _grid(table):
 
 def _twisted(choice) -> tuple:
     """Arguments and weight of one choice of ``(..., arg, weight)`` items."""
-    return tuple(item[-2] for item in choice), math.prod(item[-1] for item in choice)
+    w = 1
+    for item in choice:
+        w *= item[-1]
+    return tuple([item[-2] for item in choice]), w
+
+
+def _family(ops: dict, dv: int) -> list:
+    """``ops`` ``{a: {c: column}}`` seen from the value's side: entry c
+    lists ``(a, column)`` for every map a that reads component c."""
+    family = [[] for _ in range(dv)]
+    for a, op in ops.items():
+        for c, column in op.items():
+            family[c].append((a, column))
+    return family
 
 
 def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode=None):
     """The degree-p coboundary with values in ``rep``, p >= 0, read
-    backwards: ``(space_in, space_out, scatter)``, where ``scatter(key)``
-    gives ``(scalars, maps)``; ``{out_key: w}`` adds w psi(key) on every
-    value component (d1 and d2), ``(out_key, w, op)`` adds w op(psi(key))
-    with ``op = {c: {r: v}}`` (d3 and d4).  The inverse tables are built
-    once per call with integral values as ints, so integral structure
-    constants give integer arithmetic.
+    backwards: ``(space_in, space_out, scatter)``.  ``scatter(key)``
+    gives ``(scalars, maps)``: ``{out_key: w}`` adds w psi(key) on every
+    value component (d1 and d2); each ``(family, place)`` in ``maps`` is
+    a family of linear maps of the value, ``family[c]`` listing
+    ``(a, column)`` for each map a that reads component c, and
+    ``place(a)`` the ``(out_key, w)`` that add w times map a's image of
+    psi(key).  d3 is one family, rho(a^p(x)) per block x; d4 one family
+    per slot s and final index, rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per
+    output tail.  The inverse tables are built once per call with
+    integral values as ints, so integral structure constants give
+    integer arithmetic.
     """
     space_in = CochainSpace(alg, p, "scalar", mode)
     space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
@@ -349,8 +360,10 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
             for s in range(n - 1):
                 for z in range(d):
                     args = [alpha_p[t] for t in y[:s] + y[s + 1:]] + [alpha_p[z]]
-                    if weights := _rho_weights(rho_cols, args):
-                        fourth.setdefault((s, y[s]), []).append((b, z, weights))
+                    if (tail := tails[b][z]) and (weights := _rho_weights(rho_cols, args)):
+                        fourth.setdefault((s, y[s]), {})[tail] = weights
+    third_blocks, third = list(third), _family(third, rep.dim)
+    fourth = {st: _family(ops, rep.dim) for st, ops in fourth.items()}
 
     def inserted(args, b, upto, z):
         """``(out_key, (-1)^i)`` for block b in slot i <= upto of args,
@@ -362,8 +375,11 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
         if upto == p and (tail := tails[b][z]):
             yield args + tail, 1 - 2 * (p % 2)
 
+    def appended(u, w):
+        return lambda tail: ((u + tail, w),)
+
     def scatter(key):
-        scalars, maps = {}, []
+        scalars, maps, third_at = {}, [], {}
         for u, t, sign in representatives(key):
             twisted = [twist[x] for x in u]
             # d1: [x_i, x_j] in slot q of u (so i <= q), the twist in the others
@@ -379,12 +395,14 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
                 for b, z, wl in laction[t]:
                     for out, s in inserted(args, b, p, z):
                         scalars[out] = scalars.get(out, 0) - s * sign * w * wl
-            for b, weights in third.items():  # d3
-                maps.extend((out, s * sign, weights) for out, s in inserted(u, b, p, t))
+            for b in third_blocks:  # d3
+                for out, s in inserted(u, b, p, t):
+                    third_at.setdefault(b, []).append((out, s * sign))
             for s in range(n - 1):  # d4, sign (-1)^p (-1)^(n-s) with 1-based s
-                for b, z, weights in fourth.get((s, t), ()):
-                    if tail := tails[b][z]:
-                        maps.append((u + tail, (-1) ** (p + n - 1 - s) * sign, weights))
+                if family := fourth.get((s, t)):
+                    maps.append((family, appended(u, (-1) ** (p + n - 1 - s) * sign)))
+        if third_at:
+            maps.append((third, lambda b: third_at.get(b, ())))
         return scalars, maps
 
     return space_in, space_out, scatter
@@ -398,7 +416,8 @@ def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused")
     twist = _inverse(enumerate(_block_algebra(alg, mode).twist_cols), len(space.wedge))
     alpha = _inverse(enumerate(exact_vec(alg.twist_column_sparse(i)) for i in range(d)), d)
     representatives, tails = _split_args(space)
-    nu = {c: col for c in range(rep.dim) if (col := exact_vec(rep.nu.column(c)))}
+    nu = _family({0: {c: col for c in range(rep.dim) if (col := exact_vec(rep.nu.column(c)))}},
+                 rep.dim)
 
     def scatter(key):
         scalars = {}
@@ -409,62 +428,98 @@ def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused")
                     if tail := (tails[args[-1]][z] if args else (z,)):
                         out = args[:-1] + tail
                         scalars[out] = scalars.get(out, 0) - sign * w * wz
-        return scalars, [(key, 1, nu)]
+        return scalars, [(nu, lambda _: ((key, 1),))]
 
     return space, space, scatter
 
 
-def scatter_matrix(space_in, space_out, scatter, dv: int) -> linalg.SparseMatrix:
+def scatter_matrix(space_in, space_out, scatter, dv: int, dv_out=None) -> linalg.SparseMatrix:
     """The operator of a scatter, column by column: component c of the
     k-th input key is column k * dv + c, component r of output key K is
-    row index(K) * dv + r.  index(K) is read off the digits of K: a table
-    of the output keys would be the largest allocation of the build."""
-    width = len(space_out.wedge)
-    last = len(space_out.nforms) if space_out.mode == "fused" else space_out.alg.dim
-
-    def row_of(key):
-        i = 0
-        for b in key[:-1]:
-            i = i * width + b
-        return (i * last + key[-1]) * dv
-
-    entries = {}
+    row ``space_out.index(K) * dv_out + r`` (``dv_out`` is dv unless the
+    map changes the value space, as the lift does).  Row numbers are read
+    off the digits of K: a table of the output keys would be the largest
+    allocation of the build."""
+    dv_out = dv_out or dv
+    index, entries = space_out.index, {}
     for k, key in enumerate(space_in.keys):
         scalars, maps = scatter(key)
         col, block = k * dv, {}  # the columns of this key
         for out, w in scalars.items():
-            row = row_of(out)
+            row = index(out) * dv_out
             for r in range(dv):
                 block[row + r, col + r] = w
-        for out, w, op in maps:
-            row = row_of(out)
-            for c, column in op.items():
-                for r, v in column.items():
-                    cell = (row + r, col + c)
-                    block[cell] = block.get(cell, 0) + w * v
+        for family, place in maps:
+            rows = {}  # map a -> [(first row of an output key, weight)]
+            for c, reads in enumerate(family):
+                for a, column in reads:
+                    if (targets := rows.get(a)) is None:
+                        targets = rows[a] = [(index(out) * dv_out, w) for out, w in place(a)]
+                    for row, w in targets:
+                        for r, v in column.items():
+                            cell = (row + r, col + c)
+                            block[cell] = block.get(cell, 0) + w * v
         entries.update((cell, v) for cell, v in block.items() if v)
-    return linalg.SparseMatrix(space_out.dim * dv, space_in.dim * dv, entries)
+    return linalg.SparseMatrix(space_out.nkeys * dv_out, space_in.nkeys * dv, entries)
 
 
 def scatter_values(values: dict, scatter) -> dict:
     """A scatter applied to stored values ``{key: sparse vector}``,
-    visiting only those keys: ``{out_key: sparse vector}`` in key order,
-    zero sums left out."""
+    visiting only those keys: ``{out_key: sparse vector}`` in key order.
+
+    Scalar weights come merged per output key.  Each map's image is
+    formed once per stored key from the value's side: for each stored
+    component, the columns of the maps that read it.  A component or key
+    whose sum cancels is dropped at once, so partial sums that cancel
+    later hold no memory, and each kept sum is rebuilt to its size at
+    the end (a dict keeps the room of its cancelled entries).
+    """
     acc = {}
+
+    def add(weights, items):
+        """``acc[out] += w * vector`` for each ``(out, w)``, ``items`` the
+        vector's entries."""
+        for out, w in weights:
+            if not w:
+                continue
+            if out not in acc:
+                acc[out] = target = {}
+                for r, x in items:
+                    target[r] = w * x
+                continue
+            target = acc[out]
+            for r, x in items:
+                if new := target.get(r, 0) + w * x:
+                    target[r] = new
+                else:
+                    del target[r]
+            if not target:
+                del acc[out]
+
     for key, vec in values.items():
         scalars, maps = scatter(key)
-        for out, w in scalars.items():
-            target = acc.setdefault(out, {})
-            for r, u in vec.items():
-                target[r] = target.get(r, 0) + w * u
-        for out, w, op in maps:
-            target = acc.setdefault(out, {})
-            for c, u in vec.items():
-                if column := op.get(c):
+        add(scalars.items(), vec.items())
+        for family, place in maps:
+            images = {}
+            for c, x in vec.items():
+                for a, column in family[c]:
+                    if a not in images:
+                        images[a] = image = {}
+                        for r, v in column.items():
+                            image[r] = x * v
+                        continue
+                    image = images[a]
                     for r, v in column.items():
-                        target[r] = target.get(r, 0) + w * u * v
-    sums = ((key, {r: x for r, x in acc[key].items() if x}) for key in sorted(acc))
-    return {key: vec for key, vec in sums if vec}
+                        if new := image.get(r, 0) + x * v:
+                            image[r] = new
+                        else:
+                            del image[r]
+            for a, image in images.items():
+                if image:
+                    add(place(a), image.items())
+    for key, vec in acc.items():
+        acc[key] = {r: v for r, v in vec.items()}
+    return {key: acc[key] for key in sorted(acc)}
 
 
 def coboundary_matrix(

@@ -213,10 +213,8 @@ def dumps_cochains(cochains) -> str:
         for key in sorted(cochain.coeffs):
             flat = ",".join(str(i + 1) for i in _flatten_key(space, key))
             value = cochain.coeffs[key]
-            if space.kind == "scalar":
-                out.append(f"[{flat}] -> {format_rational(value)}")
-            else:
-                out.append(f"[{flat}] -> " + ",".join(format_rational(v) for v in value))
+            values = ",".join(format_rational(value.get(r, 0)) for r in range(space.value_dim))
+            out.append(f"[{flat}] -> {values}")
     return "\n".join(out) + "\n"
 
 
@@ -252,7 +250,7 @@ def loads_cochains(text: str, alg):
     for lineno, line in lines[5:]:
         if re.match(r"^cochain\s+\d+$", line):
             coeffs, seen = {}, set()
-            cochains.append(Cochain(space, coeffs))
+            cochains.append(coeffs)
             continue
         m = _BRACKET_LINE.match(line)
         if not m or coeffs is None:
@@ -266,17 +264,12 @@ def loads_cochains(text: str, alg):
             raise ParseError(f"repeated key {m.group(1)!r} in one cochain", lineno)
         seen.add(key)
         values = [parse_rational(tok, lineno) for tok in m.group(2).split(",")]
-        if kind == "scalar":
-            if len(values) != 1:
-                raise ParseError("scalar cochain lines carry one rational", lineno)
-            if values[0]:
-                coeffs[key] = values[0]
-        else:
-            if len(values) != dim:
-                raise ParseError(f"adjoint cochain lines carry {dim} rationals", lineno)
-            if any(values):
-                coeffs[key] = tuple(values)
-    return cochains
+        if len(values) != space.value_dim:
+            count = "one rational" if kind == "scalar" else f"{dim} rationals"
+            raise ParseError(f"{kind} cochain lines carry {count}", lineno)
+        if vec := {r: v for r, v in enumerate(values) if v}:
+            coeffs[key] = vec
+    return [Cochain(space, dict(sorted(coeffs.items()))) for coeffs in cochains]
 
 
 def load_cochains(path, alg):

@@ -81,8 +81,8 @@ def central_extension(alg: HomNambuAlgebra, phi: Cochain, lam=None) -> HomNambuA
     _, space2, scatter = cochains.coboundary_scatter(
         alg, trivial_representation(alg), 1, phi.space.mode, "split"
     )
-    values = {key: {0: v} for key, v in phi.coeffs.items()}
-    if nonzero := cochains.scatter_values(values, scatter):  # split keys sort in coordinate order
+    # split keys sort in coordinate order
+    if nonzero := cochains.scatter_values(phi.coeffs, scatter):
         b1, b2, z = next(iter(nonzero))
         triple = (
             tuple(i + 1 for i in space2.wedge[b1]),
@@ -92,7 +92,8 @@ def central_extension(alg: HomNambuAlgebra, phi: Cochain, lam=None) -> HomNambuA
         raise NotACocycleError(triple)
     coeffs = {}
     for key in wedge_basis(d, n):
-        value = list(alg.bracket_basis(key)) + [phi.value((phi.space.windex[key[:-1]],), key[-1])]
+        central = phi.value((phi.space.windex[key[:-1]],), key[-1]).get(0, ZERO)
+        value = list(alg.bracket_basis(key)) + [central]
         if any(value):
             coeffs[key] = tuple(value)
     twist = linalg.SparseMatrix(d + 1, d + 1, dict(alg.twist.entries))
@@ -147,7 +148,7 @@ def filippov_potential(signs, alpha, phi: Cochain) -> tuple:
         for j in wedge_basis(d, n):
             sign = levi_civita(j + (k,))
             if sign:
-                total += sign * phi.value((space.windex[j[:-1]],), j[-1])
+                total += sign * phi.value((space.windex[j[:-1]],), j[-1]).get(0, ZERO)
         phik.append(-((-1) ** n) * signs[k] * total)
     psi = linalg.solve(linalg.mat(alpha).T, phik)
     if psi is None:  # pragma: no cover - the fixtures use invertible twists

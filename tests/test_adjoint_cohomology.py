@@ -24,6 +24,7 @@ from homnambu.cochains import Cochain, CochainSpace, apply_coboundary, coboundar
 from homnambu.derivations import adjoint_representation
 from homnambu.formats import load_algebra
 from homnambu.fundamental import fundamental_of, l_action_sparse
+from homnambu.indices import sv_to_dense
 
 ONE = Fraction(1)
 FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
@@ -62,19 +63,15 @@ def test_degree1_matches_six_term_display():
             ay = fund.twist_sparse({by: ONE})
             lyz = l_action_sparse(alg, fund.basis, {by: ONE}, {z: ONE})
             lxz = l_action_sparse(alg, fund.basis, {bx: ONE}, {z: ONE})
-            total = list(psi.evaluate([ax], lyz))
-            for i, v in enumerate(psi.evaluate([ay], lxz)):
+            total = list(sv_to_dense(psi.evaluate([ax], lyz), alg.dim))
+            for i, v in psi.evaluate([ay], lxz).items():
                 total[i] -= v
-            for i, v in enumerate(psi.evaluate([fund.table[bx][by]], alpha_cols[z])):
+            for i, v in psi.evaluate([fund.table[bx][by]], alpha_cols[z]).items():
                 total[i] -= v
-            lax = l_action_sparse(
-                alg, fund.basis, ax, {i: v for i, v in enumerate(psi.value((by,), z)) if v}
-            )
+            lax = l_action_sparse(alg, fund.basis, ax, psi.value((by,), z))
             for i, v in lax.items():
                 total[i] += v
-            lay = l_action_sparse(
-                alg, fund.basis, ay, {i: v for i, v in enumerate(psi.value((bx,), z)) if v}
-            )
+            lay = l_action_sparse(alg, fund.basis, ay, psi.value((bx,), z))
             for i, v in lay.items():
                 total[i] -= v
             yt = fund.basis[by]
@@ -84,12 +81,12 @@ def test_degree1_matches_six_term_display():
             for s in range(n - 1):
                 val = psi.value((bx,), yt[s])
                 args = [alpha_cols[yt[t]] for t in range(s)]
-                args.append({i: v for i, v in enumerate(val) if v})
+                args.append(val)
                 args += [alpha_cols[yt[t]] for t in range(s + 1, n - 1)]
                 args.append(alpha_cols[z])
                 for i, v in bracket_eval_sparse(alg, args).items():
                     total[i] -= v
-            assert tuple(total) == out.value((bx, by), z)
+            assert tuple(total) == sv_to_dense(out.value((bx, by), z), alg.dim)
 
 
 def test_delta_squared_zero_on_equivariant_subspace():
@@ -256,10 +253,10 @@ def test_n2_matches_hand_coded_lie_formula():
         su = {i: c for i, c in enumerate(u) if c}
         from homnambu.fundamental import wedge_of_vectors
 
-        return psi.evaluate([wedge_of_vectors(w, [sv])], su)
+        return sv_to_dense(psi.evaluate([wedge_of_vectors(w, [sv])], su), 3)
 
     for x, y, z in itertools.product(range(3), repeat=3):
-        lhs = out.value((w[(x,)], w[(y,)]), z)
+        lhs = sv_to_dense(out.value((w[(x,)], w[(y,)]), z), 3)
         bxy = bracket_eval(alg, [basis[x], basis[y]])
         bxz = bracket_eval(alg, [basis[x], basis[z]])
         byz = bracket_eval(alg, [basis[y], basis[z]])

@@ -210,8 +210,8 @@ def test_high_degree_header_builds_no_keys():
     (cochain,) = scalar_cochains(key, degree=12, mode="fused")
     assert time.perf_counter() - start < 0.5
     assert cochain.space.dim == 6 ** 11 * 4
-    assert "keys" not in vars(cochain.space) and "key_index" not in vars(cochain.space)
-    assert list(cochain.coeffs.values()) == [1]
+    assert "keys" not in vars(cochain.space) and "fuse" not in vars(cochain.space)
+    assert list(cochain.coeffs.values()) == [{0: 1}]
 
 
 # -- junk input: every loader fails with ParseError and nothing else ---------

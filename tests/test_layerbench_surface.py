@@ -55,13 +55,16 @@ def test_workload_inputs_are_generated(workload, tmp_path):
     "workload, key",
     [
         ("scalar-complex", "cohomology filippov_n3 -p 2 --mode split"),
+        ("scalar-complex", "cohomology volume_d3_twisted -p 3"),
         ("adjoint-complex", None),
+        ("adjoint-complex", "cohomology filippov_n3_reflected -p 2 --coefficients adjoint"),
     ],
 )
 def test_cocycle_files_pass_the_harness_check(workload, key, tmp_path, monkeypatch):
-    # one job of each cohomology workload (key None: the seed twist's),
-    # run and re-checked the way a timed pass is: dim_Z cochains in the
-    # written basis file, each with dz = 0
+    # jobs of each cohomology workload (key None: the seed twist's), fused
+    # and split, run and re-checked the way a timed pass is: dim_Z
+    # cochains in the written basis file, each read back through
+    # load_cochains(...)[i].to_flat() with dz = 0
     workloads = load_layerbench("workloads")
     checks = load_layerbench("checks")
     inputs = workloads.prepare(workload, 1, ROOT / "fixtures", tmp_path)

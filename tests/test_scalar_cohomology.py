@@ -77,11 +77,11 @@ def test_degree1_matches_three_term_display():
             lyz = l_action_sparse(alg, fund.basis, {by: ONE}, {z: ONE})
             lxz = l_action_sparse(alg, fund.basis, {bx: ONE}, {z: ONE})
             expected = (
-                phi.evaluate([ax], lyz)
-                - phi.evaluate([ay], lxz)
-                - phi.evaluate([fund.table[bx][by]], alpha_cols[z])
+                phi.evaluate([ax], lyz).get(0, 0)
+                - phi.evaluate([ay], lxz).get(0, 0)
+                - phi.evaluate([fund.table[bx][by]], alpha_cols[z]).get(0, 0)
             )
-            assert out.value((bx, by), z) == expected
+            assert out.value((bx, by), z).get(0, 0) == expected
 
 
 @pytest.mark.parametrize("mode", ["fused", "split"])
