@@ -134,8 +134,8 @@ def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain, residual
     bad = equivariance_violations(alg, psi)
     if bad:
         raise NotEquivariantError(bad[0])
-    scatter = cochains.coboundary_scatter(alg, adjoint_representation(alg), 1, psi.space.mode)[2]
-    cocycle = not cochains.scatter_values(psi.coeffs, scatter)
+    statement = cochains.coboundary_scatter(alg, adjoint_representation(alg), 1, psi.space.mode)
+    cocycle = not cochains.apply(statement, psi).coeffs
     if residuals is None:
         residuals = deformation_residuals(alg, psi)
     residual_zero = not residuals

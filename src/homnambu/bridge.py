@@ -41,10 +41,12 @@ adds to, through inverse tables built once per call:
 * :func:`lift_scatter`: a stored key (u, x) feeds one family, the slot
   maps of the blocks t that hold x, each placed at (u, t).
 
-:func:`cochains.scatter_values` applies them to phi's stored keys, so
-the work follows phi's support instead of all dim^(p+1) output tuples,
-and :func:`leibniz_coboundary_matrix` is :func:`cochains.scatter_matrix`
-of the Leibniz scatter.  The four-term coboundary is not restated here:
+Each statement's spaces carry their value dimensions (L for phi, T for
+the lift and the Leibniz cochains).  :func:`cochains.apply` applies a
+statement to phi's stored keys, so the work follows phi's support
+instead of all dim^(p+1) output tuples, and
+:func:`leibniz_coboundary_matrix` is :func:`cochains.scatter_matrix` of
+the Leibniz statement.  The four-term coboundary is not restated here:
 it is :func:`cochains.coboundary_scatter` in tensor mode with adjoint
 values, and the equivariance test is
 :func:`cochains.compatibility_violations` in the same mode.
@@ -68,10 +70,10 @@ from .cochains import (
     _grid,
     _inverse,
     _twisted,
+    apply,
     coboundary_scatter,
     compatibility_violations,
     scatter_matrix,
-    scatter_values,
 )
 from .derivations import adjoint_representation
 from .fundamental import HomLeibnizAlgebra, fundamental_of
@@ -161,17 +163,10 @@ def leibniz_scatter(leib: HomLeibnizAlgebra, p: int):
     return space_in, space_out, scatter
 
 
-def _applied(phi: Cochain, statement) -> Cochain:
-    """phi under the map of a scatter statement ``(space_in, space_out,
-    scatter)``."""
-    _, space_out, scatter = statement
-    return Cochain(space_out, scatter_values(phi.coeffs, scatter))
-
-
 def leibniz_coboundary(leib: HomLeibnizAlgebra, phi: Cochain) -> Cochain:
     """The twisted Loday-Pirashvili coboundary of a Leibniz-layout
     cochain; degree 0 sends an element c to a -> -[c, a]."""
-    return _applied(phi, leibniz_scatter(leib, phi.space.degree))
+    return apply(leibniz_scatter(leib, phi.space.degree), phi)
 
 
 def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseMatrix:
@@ -179,7 +174,7 @@ def leibniz_coboundary_matrix(leib: HomLeibnizAlgebra, p: int) -> linalg.SparseM
     phi at the k-th p-tuple is column k * dim + m, component r of d phi at
     the k-th (p+1)-tuple is row k * dim + r.  The row count is
     dim^(p+2), so it is meant for small algebras."""
-    return scatter_matrix(*leibniz_scatter(leib, p), leib.dim)
+    return scatter_matrix(*leibniz_scatter(leib, p))
 
 
 # -- cochains with tensor blocks plus one algebra slot ------------------------
@@ -195,9 +190,7 @@ def bridge_coboundary(phi: Cochain) -> Cochain:
     which is the general formula with a^0 = id.
     """
     alg, p = phi.space.alg, phi.space.degree
-    _, _, scatter = coboundary_scatter(alg, adjoint_representation(alg), p, "tensor")
-    space_out = CochainSpace(alg, p + 1, "adjoint", "tensor")
-    return Cochain(space_out, scatter_values(phi.coeffs, scatter))
+    return apply(coboundary_scatter(alg, adjoint_representation(alg), p, "tensor"), phi)
 
 
 # -- the lift -----------------------------------------------------------------
@@ -265,13 +258,13 @@ def ternary_lift_scatter(alg: HomNambuAlgebra, p: int):
 def delta_lift(phi: Cochain) -> Cochain:
     """Lift a p-block cochain to a (p+1)-argument Leibniz cochain by
     feeding each factor of the last block through it."""
-    return _applied(phi, lift_scatter(phi.space.alg, phi.space.degree))
+    return apply(lift_scatter(phi.space.alg, phi.space.degree), phi)
 
 
 def delta_lift_ternary(phi: Cochain) -> Cochain:
     """The two-term ternary form of the lift; must agree with
     :func:`delta_lift` at arity 3 (dual code path)."""
-    return _applied(phi, ternary_lift_scatter(phi.space.alg, phi.space.degree))
+    return apply(ternary_lift_scatter(phi.space.alg, phi.space.degree), phi)
 
 
 def check_commuting_square(phi: Cochain):

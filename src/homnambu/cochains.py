@@ -8,7 +8,8 @@ a linear map of V.  :class:`Cochain` is the one container for every
 kind and layout: ``{key: {r: v}}``, the nonzero components v of the value
 at each key with a stored nonzero value, scalar values (V = Q) at
 component 0 and algebra elements (the adjoint module) at their basis
-indices.
+indices.  A :class:`CochainSpace` names its values (scalar, adjoint or a
+representation) and so carries their dimension, ``value_dim``.
 
 Four storage modes fix the symmetry type:
 
@@ -58,11 +59,12 @@ the four terms read backwards, from one input key to every output key
 that reads psi there, as scalar weights (d1, d2) and families of linear
 maps of the value (d3, d4).  Every map of the package is stated in this
 shape: the equivariance rows here, and the Leibniz coboundary and the
-lift in :mod:`homnambu.bridge`.  :func:`scatter_matrix` is the one
-matrix builder, column by column, and :func:`scatter_values` the one
-pointwise apply: it visits only the stored keys, forms each map's image
-once per key from the value's side, and drops a sum as soon as it
-cancels.
+lift in :mod:`homnambu.bridge`.  A statement is the triple ``(space_in,
+space_out, scatter)``, and its spaces give the value dimensions, so
+:func:`scatter_matrix` is the one matrix builder, column by column, and
+:func:`apply` the one pointwise apply: through :func:`scatter_values` it
+visits only the stored keys, forms each map's image once per key from
+the value's side, and drops a sum as soon as it cancels.
 
 Compatible cochains satisfy nu o psi = psi o a: the kernel of
 :func:`equivariance_matrix`, checked pointwise by
@@ -103,16 +105,20 @@ class CochainSpace:
     is Hom(L, V), whose one layout is the split one (in the Leibniz
     layout, the empty key)."""
 
-    def __init__(self, alg: HomNambuAlgebra, degree: int, kind: str, mode: str = "fused"):
+    def __init__(self, alg: HomNambuAlgebra, degree: int, values, mode: str = "fused"):
+        """``values`` names the value space: ``"scalar"``, ``"adjoint"``
+        (the algebra of the layout: L, or T in the Leibniz layout) or a
+        representation, whose module it is; ``kind`` is then
+        ``"representation"``, which no file names."""
         if degree < 0:
             raise CochainError("CochainSpace needs degree >= 0")
-        if kind not in ("scalar", "adjoint"):
-            raise CochainError(f"unknown kind {kind!r}")
+        if isinstance(values, str) and values not in ("scalar", "adjoint"):
+            raise CochainError(f"unknown kind {values!r}")
         if mode not in MODES:
             raise CochainError(f"unknown mode {mode!r}")
         self.alg = alg
         self.degree = degree
-        self.kind = kind
+        self.kind = values if isinstance(values, str) else "representation"
         self.mode = mode if degree or mode == "leibniz" else "split"
         d, n = alg.dim, alg.arity
         # the block basis: (n-1)-wedges, or all (n-1)-tuples over tensor blocks
@@ -126,7 +132,10 @@ class CochainSpace:
         self.lead = degree - 1 if self.mode in ("fused", "leibniz") else degree
         self.last = {"fused": len(self.nforms), "leibniz": w}.get(self.mode, d)
         self.nkeys = w ** self.lead * self.last if self.lead >= 0 else 1
-        self.value_dim = 1 if kind == "scalar" else w if self.mode == "leibniz" else d
+        if self.kind == "representation":
+            self.value_dim = values.dim
+        else:
+            self.value_dim = 1 if self.kind == "scalar" else w if self.mode == "leibniz" else d
         self.dim = self.nkeys * self.value_dim
 
     @cached_property
@@ -340,8 +349,8 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
     integral values as ints, so integral structure constants give
     integer arithmetic.
     """
-    space_in = CochainSpace(alg, p, "scalar", mode)
-    space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
+    space_in = CochainSpace(alg, p, rep, mode)
+    space_out = CochainSpace(alg, p + 1, rep, out_mode or mode)
     fund = _block_algebra(alg, space_out.mode)
     d, n = alg.dim, alg.arity
     twist = _inverse(enumerate(fund.twist_cols), fund.dim)
@@ -412,7 +421,7 @@ def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused")
     """Rows nu . psi(args) - psi(a args) over the keys of the degree-p
     space, p >= 0, as ``(space, space, scatter)`` in the format of
     :func:`coboundary_scatter`; the compatible cochains are its zeros."""
-    space, d = CochainSpace(alg, p, "scalar", mode), alg.dim
+    space, d = CochainSpace(alg, p, rep, mode), alg.dim
     twist = _inverse(enumerate(_block_algebra(alg, mode).twist_cols), len(space.wedge))
     alpha = _inverse(enumerate(exact_vec(alg.twist_column_sparse(i)) for i in range(d)), d)
     representatives, tails = _split_args(space)
@@ -433,15 +442,15 @@ def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused")
     return space, space, scatter
 
 
-def scatter_matrix(space_in, space_out, scatter, dv: int, dv_out=None) -> linalg.SparseMatrix:
+def scatter_matrix(space_in, space_out, scatter) -> linalg.SparseMatrix:
     """The operator of a scatter, column by column: component c of the
     k-th input key is column k * dv + c, component r of output key K is
-    row ``space_out.index(K) * dv_out + r`` (``dv_out`` is dv unless the
-    map changes the value space, as the lift does).  Row numbers are read
-    off the digits of K: a table of the output keys would be the largest
-    allocation of the build."""
-    dv_out = dv_out or dv
-    index, entries = space_out.index, {}
+    row ``space_out.index(K) * dv_out + r``, with dv and dv_out the value
+    dimensions of the two spaces (they differ where the map changes the
+    value space, as the lift does).  Row numbers are read off the digits
+    of K: a table of the output keys would be the largest allocation of
+    the build."""
+    dv, dv_out, index, entries = space_in.value_dim, space_out.value_dim, space_out.index, {}
     for k, key in enumerate(space_in.keys):
         scalars, maps = scatter(key)
         col, block = k * dv, {}  # the columns of this key
@@ -460,7 +469,7 @@ def scatter_matrix(space_in, space_out, scatter, dv: int, dv_out=None) -> linalg
                             cell = (row + r, col + c)
                             block[cell] = block.get(cell, 0) + w * v
         entries.update((cell, v) for cell, v in block.items() if v)
-    return linalg.SparseMatrix(space_out.nkeys * dv_out, space_in.nkeys * dv, entries)
+    return linalg.SparseMatrix(space_out.dim, space_in.dim, entries)
 
 
 def scatter_values(values: dict, scatter) -> dict:
@@ -522,18 +531,28 @@ def scatter_values(values: dict, scatter) -> dict:
     return {key: acc[key] for key in sorted(acc)}
 
 
+def apply(statement, phi: Cochain) -> Cochain:
+    """phi's image under the map of a statement ``(space_in, space_out,
+    scatter)``: :func:`scatter_values` of its stored values, as a cochain
+    on the output space."""
+    space_in, space_out, scatter = statement
+    if any(getattr(phi.space, a) != getattr(space_in, a) for a in ("degree", "mode", "value_dim")):
+        raise CochainError("the cochain is not on the input space of the map")
+    return Cochain(space_out, scatter_values(phi.coeffs, scatter))
+
+
 def coboundary_matrix(
     alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", out_mode: str | None = None
 ) -> linalg.SparseMatrix:
     """Sparse matrix of the degree-p coboundary with values in ``rep``,
     p >= 0: :func:`scatter_matrix` of :func:`coboundary_scatter`."""
-    return scatter_matrix(*coboundary_scatter(alg, rep, p, mode, out_mode), rep.dim)
+    return scatter_matrix(*coboundary_scatter(alg, rep, p, mode, out_mode))
 
 
 def equivariance_matrix(alg: HomNambuAlgebra, rep, p: int, mode="fused") -> linalg.SparseMatrix:
     """Matrix of :func:`equivariance_scatter`; the compatible cochains
     are its kernel."""
-    return scatter_matrix(*equivariance_scatter(alg, rep, p, mode), rep.dim)
+    return scatter_matrix(*equivariance_scatter(alg, rep, p, mode))
 
 
 def compatibility_violations(alg: HomNambuAlgebra, rep, p: int, mode: str, values: dict) -> list:
@@ -543,11 +562,9 @@ def compatibility_violations(alg: HomNambuAlgebra, rep, p: int, mode: str, value
 
 
 def apply_coboundary(rep, phi: Cochain, out_mode: str | None = None) -> Cochain:
-    """d phi with values in ``rep``, by one exact mat-vec."""
+    """d phi with values in ``rep``: :func:`apply` of :func:`coboundary_scatter`."""
     space = phi.space
-    m = coboundary_matrix(space.alg, rep, space.degree, space.mode, out_mode)
-    space_out = CochainSpace(space.alg, space.degree + 1, space.kind, out_mode or space.mode)
-    return Cochain.from_flat(space_out, linalg.sparse_mat_vec(m, phi.to_flat()))
+    return apply(coboundary_scatter(space.alg, rep, space.degree, space.mode, out_mode), phi)
 
 
 def coboundary_preserves_fusion(alg: HomNambuAlgebra, rep, p: int) -> bool:
@@ -560,7 +577,8 @@ def coboundary_preserves_fusion(alg: HomNambuAlgebra, rep, p: int) -> bool:
     """
     split = coboundary_matrix(alg, rep, p, "fused", "split")
     fused = coboundary_matrix(alg, rep, p, "fused")
-    space, d, dv = CochainSpace(alg, p + 1, "scalar", "fused"), alg.dim, rep.dim
+    space = CochainSpace(alg, p + 1, rep, "fused")
+    d, dv = alg.dim, space.value_dim
     # fused key (*head, m) -> split keys (*head, c, z), number head * w * d + c * d + z
     tails, width = [[] for _ in space.nforms], len(space.wedge) * d
     for c, row in enumerate(space.fuse):

@@ -64,6 +64,20 @@ def _parse_header(line, name, lineno):
     return int(m.group(1))
 
 
+def _square_matrix(lines, pos: int, dim: int, what: str) -> linalg.SparseMatrix:
+    """The dim x dim matrix on content lines pos, pos + 1, ..., one row of
+    dim rationals a line; ``what`` names the rows in errors."""
+    if pos + dim > len(lines):
+        raise ParseError(f"expected {dim} {what} rows")
+    rows = []
+    for lineno, line in lines[pos:pos + dim]:
+        tokens = line.split()
+        if len(tokens) != dim:
+            raise ParseError(f"{what} row has {len(tokens)} entries, expected {dim}", lineno)
+        rows.append([parse_rational(tok, lineno) for tok in tokens])
+    return linalg.mat(rows)
+
+
 def loads_algebra(text: str) -> HomNambuAlgebra:
     lines = list(_content_lines(text))
     if len(lines) < 2:
@@ -72,15 +86,7 @@ def loads_algebra(text: str) -> HomNambuAlgebra:
     arity = _parse_header(lines[1][1], "arity", lines[1][0])
     if dim < 1 or arity < 2:
         raise ParseError("need dim >= 1 and arity >= 2", lines[1][0])
-    if len(lines) < 2 + dim:
-        raise ParseError(f"expected {dim} twist rows")
-    twist = []
-    for lineno, line in lines[2:2 + dim]:
-        tokens = line.split()
-        if len(tokens) != dim:
-            raise ParseError(f"twist row has {len(tokens)} entries, expected {dim}", lineno)
-        twist.append([parse_rational(tok, lineno) for tok in tokens])
-    alg = HomNambuAlgebra(dim, arity, {}, twist)
+    alg = HomNambuAlgebra(dim, arity, {}, _square_matrix(lines, 2, dim, "twist"))
     for lineno, line in lines[2 + dim:]:
         m = _BRACKET_LINE.match(line)
         if not m:
@@ -158,11 +164,8 @@ def save_matrix(m, path) -> None:
 
 def _flatten_key(space, key):
     """Canonical 0-based argument indices of a stored key."""
-    if space.mode == "fused":
-        blocks = [space.wedge[b] for b in key[:-1]]
-        return [i for t in blocks for i in t] + list(space.nforms[key[-1]])
-    blocks = [space.wedge[b] for b in key[:-1]]
-    return [i for t in blocks for i in t] + [key[-1]]
+    blocks, z = space.decode_args(key)
+    return [i for b in blocks for i in space.wedge[b]] + [z]
 
 
 def _unflatten_key(space, indices, lineno=None):
@@ -190,11 +193,15 @@ def _unflatten_key(space, indices, lineno=None):
 
 
 def dumps_cochains(cochains) -> str:
-    """Serialize one or more cochains sharing a space."""
+    """Serialize one or more cochains sharing a space that files name:
+    scalar or adjoint values, degree >= 1, fused or split."""
     cochains = list(cochains)
     if not cochains:
         raise ValueError("nothing to serialize")
     space = cochains[0].space
+    if space.kind == "representation" or space.degree < 1 or space.mode not in ("fused", "split"):
+        raise ValueError(f"no file holds {space.kind} cochains of degree {space.degree} "
+                         f"in mode {space.mode}")
     out = [
         f"kind = {space.kind}",
         f"degree = {space.degree}",
@@ -311,18 +318,7 @@ def loads_leibniz(text: str):
     if len(lines) < 2 or lines[0][1] != "kind = leibniz":
         raise ParseError("expected 'kind = leibniz' header")
     dim = _parse_header(lines[1][1], "dim", lines[1][0])
-    if len(lines) < 2 + dim:
-        raise ParseError(f"expected {dim} twist rows")
-    twist_cols = [dict() for _ in range(dim)]
-    for r in range(dim):
-        lineno, line = lines[2 + r]
-        tokens = line.split()
-        if len(tokens) != dim:
-            raise ParseError(f"twist row has {len(tokens)} entries, expected {dim}", lineno)
-        for c, tok in enumerate(tokens):
-            v = parse_rational(tok, lineno)
-            if v:
-                twist_cols[c][r] = v
+    twist = _square_matrix(lines, 2, dim, "twist")
     table = [[{} for _ in range(dim)] for _ in range(dim)]
     for lineno, line in lines[2 + dim:]:
         m = _BRACKET_LINE.match(line)
@@ -343,7 +339,7 @@ def loads_leibniz(text: str):
         basis=[(i,) for i in range(dim)],
         index={(i,): i for i in range(dim)},
         table=table,
-        twist_cols=twist_cols,
+        twist_cols=[twist.column(c) for c in range(dim)],
         source=None,
     )
 
@@ -378,25 +374,12 @@ def loads_representation(text: str):
     dim = _parse_header(lines[1][1], "dim", lines[1][0])
     if arity < 2:
         raise ParseError("need arity >= 2", lines[0][0])
-    pos = 2
-
-    def read_matrix(pos):
-        if pos + dim > len(lines):
-            raise ParseError(f"expected {dim} matrix rows")
-        rows = []
-        for lineno, line in lines[pos:pos + dim]:
-            tokens = line.split()
-            if len(tokens) != dim:
-                raise ParseError(f"matrix row has {len(tokens)} entries, expected {dim}", lineno)
-            rows.append([parse_rational(tok, lineno) for tok in tokens])
-        return linalg.mat(rows), pos + dim
-
-    if pos == len(lines):
+    if len(lines) == 2:
         raise ParseError("missing 'nu:' block")
-    lineno, line = lines[pos]
+    lineno, line = lines[2]
     if line != "nu:":
         raise ParseError(f"expected 'nu:', got {line!r}", lineno)
-    nu, pos = read_matrix(pos + 1)
+    nu, pos = _square_matrix(lines, 3, dim, "matrix"), 3 + dim
     rho = {}
     while pos < len(lines):
         lineno, line = lines[pos]
@@ -414,8 +397,8 @@ def loads_representation(text: str):
             raise ParseError(f"rho indices must be distinct and at least 1, got {line!r}", lineno)
         if canon in rho:
             raise ParseError(f"repeated rho block for {m.group(1)!r}", lineno)
-        mat_, pos = read_matrix(pos + 1)
-        rho[canon] = sign * mat_
+        rho[canon] = sign * _square_matrix(lines, pos + 1, dim, "matrix")
+        pos += 1 + dim
     return RepresentationMap(arity=arity, dim=dim, rho=rho, nu=nu)
 
 

@@ -78,18 +78,12 @@ def central_extension(alg: HomNambuAlgebra, phi: Cochain, lam=None) -> HomNambuA
     lam = linalg.vec(lam) if lam is not None else (ZERO,) * d
     if len(lam) != d:
         raise ValueError("lambda length mismatch")
-    _, space2, scatter = cochains.coboundary_scatter(
-        alg, trivial_representation(alg), 1, phi.space.mode, "split"
-    )
-    # split keys sort in coordinate order
-    if nonzero := cochains.scatter_values(phi.coeffs, scatter):
-        b1, b2, z = next(iter(nonzero))
-        triple = (
-            tuple(i + 1 for i in space2.wedge[b1]),
-            tuple(i + 1 for i in space2.wedge[b2]),
-            z + 1,
-        )
-        raise NotACocycleError(triple)
+    rep = trivial_representation(alg)
+    dphi = cochains.apply(cochains.coboundary_scatter(alg, rep, 1, phi.space.mode, "split"), phi)
+    if dphi.coeffs:  # split keys sort in coordinate order
+        b1, b2, z = next(iter(dphi.coeffs))
+        blocks = [tuple(i + 1 for i in dphi.space.wedge[b]) for b in (b1, b2)]
+        raise NotACocycleError((*blocks, z + 1))
     coeffs = {}
     for key in wedge_basis(d, n):
         central = phi.value((phi.space.windex[key[:-1]],), key[-1]).get(0, ZERO)

@@ -3,12 +3,16 @@
 import re
 import time
 from fractions import Fraction
+from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homnambu import fixtures, linalg
+from homnambu import bridge, cli, fixtures, linalg
+from homnambu.adjoint_cohomology import random_equivariant_cochain
+from homnambu.cochains import Cochain, CochainSpace, apply_coboundary
+from homnambu.derivations import adjoint_representation
 from homnambu.formats import (
     ParseError,
     dumps_algebra,
@@ -201,6 +205,29 @@ def test_repeated_cochain_key_is_parse_error():
     # the same key in two cochains is fine
     two = scalar_cochains("[1,2,3] -> 1\ncochain 2\n[1,2,3] -> 2\n", mode="fused")
     assert [c.to_flat()[0] for c in two] == [1, 2]
+
+
+def test_spaces_that_files_cannot_name_are_not_written():
+    # a file names scalar or adjoint values, degree >= 1, fused or split;
+    # anything else would be written and then rejected, or misread
+    alg = fixtures.filippov_n3()
+    leib = bridge.tensor_fundamental_of(alg)
+    phi = cli.bridge_input_cochain(alg, leib, 1, 5)
+    psi = random_equivariant_cochain(alg, 1, Random(5))
+    dpsi = apply_coboundary(adjoint_representation(alg), psi)
+    unnamed = {
+        "tensor layout": phi,
+        "Leibniz layout": bridge.delta_lift(phi),
+        "a representation's values": dpsi,
+        "degree 0": Cochain(CochainSpace(alg, 0, "scalar"), {(1,): {0: 1}}),
+    }
+    assert dpsi.coeffs and dpsi.space.kind == "representation"
+    for label, cochain in unnamed.items():
+        assert cochain.coeffs, label
+        with pytest.raises(ValueError, match="no file holds"):
+            dumps_cochains([cochain])
+    adjoint = Cochain(CochainSpace(alg, 2, "adjoint"), dict(dpsi.coeffs))
+    assert loads_cochains(dumps_cochains([adjoint]), alg)[0].coeffs == adjoint.coeffs
 
 
 def test_high_degree_header_builds_no_keys():

@@ -26,6 +26,7 @@ from homnambu.derivations import (
     level_representation,
     trivial_representation,
 )
+from representations import sl2_standard
 
 
 def operator(alg, rep, p, mode="fused", out_mode=None):
@@ -52,17 +53,6 @@ def d_squared_is_zero(alg, rep, p, restrict=False):
     if restrict:
         first = linalg.restrict_columns(first, compatible(alg, rep, p))
     return linalg.sparse_matmul(operator(alg, rep, p + 1), first).is_zero()
-
-
-def sl2_standard(f_scale=1):
-    """h, e, f (the fixture's e1, e2, e3) acting on Q^2; f_scale != 1
-    breaks the representation identity."""
-    rho = {
-        (0,): linalg.mat([[1, 0], [0, -1]]),
-        (1,): linalg.mat([[0, 1], [0, 0]]),
-        (2,): linalg.mat([[0, 0], [f_scale, 0]]),
-    }
-    return RepresentationMap(arity=2, dim=2, rho=rho, nu=linalg.eye(2))
 
 
 def test_sl2_standard_representation_complex():
@@ -511,7 +501,7 @@ def test_level_and_standard_coboundaries_preserve_fusion(path):
         reps["standard"] = sl2_standard()
     for label, rep in reps.items():
         for p in range(4):
-            if CochainSpace(alg, p + 1, "scalar", "split").dim * rep.dim <= SPLIT_CAP:
+            if CochainSpace(alg, p + 1, rep, "split").dim <= SPLIT_CAP:
                 assert cochains.coboundary_preserves_fusion(alg, rep, p), (label, p)
 
 

@@ -107,7 +107,7 @@ def test_coboundary_preserves_fusion():
         alg = load_algebra(path)
         rep = trivial_representation(alg)
         for p in range(4):
-            if CochainSpace(alg, p + 1, "scalar", "split").dim * rep.dim <= SPLIT_CAP:
+            if CochainSpace(alg, p + 1, rep, "split").dim <= SPLIT_CAP:
                 assert coboundary_preserves_fusion(alg, rep, p), (path.stem, p)
 
 

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,9 @@ from homnambu import bridge, cli, fixtures, linalg
 from homnambu.algebra import zero_algebra
 from homnambu.cochains import (
     Cochain,
+    CochainError,
     CochainSpace,
+    apply,
     coboundary_scatter,
     equivariance_scatter,
     scatter_matrix,
@@ -22,6 +25,7 @@ from homnambu.cochains import (
 from homnambu.derivations import adjoint_representation, trivial_representation
 from homnambu.formats import dumps_cochains, loads_cochains
 from homnambu.indices import exact
+from representations import sl2_standard
 
 ALGEBRAS = {
     "sl2": fixtures.sl2,
@@ -37,39 +41,39 @@ def algebra(name):
 
 def representation(name, coefficients):
     alg = algebra(name)
+    if coefficients == "standard":  # neither scalar nor adjoint: sl2 on Q^2
+        return sl2_standard()
     return (adjoint_representation if coefficients == "adjoint" else trivial_representation)(alg)
 
 
 def statement(case):
-    """``(space_in, space_out, scatter, dv_in, dv_out)`` of one case."""
+    """``(space_in, space_out, scatter)`` of one case."""
     kind, name, *rest = case
     alg = algebra(name)
     if kind == "coboundary":
         coefficients, p, mode, out_mode = rest
-        rep = representation(name, coefficients)
-        return (*coboundary_scatter(alg, rep, p, mode, out_mode), rep.dim, rep.dim)
+        return coboundary_scatter(alg, representation(name, coefficients), p, mode, out_mode)
     if kind == "equivariance":
         coefficients, p, mode = rest
-        rep = representation(name, coefficients)
-        return (*equivariance_scatter(alg, rep, p, mode), rep.dim, rep.dim)
+        return equivariance_scatter(alg, representation(name, coefficients), p, mode)
     leib, (p,) = bridge.tensor_fundamental_of(alg), rest
     if kind == "leibniz":
-        return (*bridge.leibniz_scatter(leib, p), leib.dim, leib.dim)
+        return bridge.leibniz_scatter(leib, p)
     lift = bridge.lift_scatter if kind == "lift" else bridge.ternary_lift_scatter
-    return (*lift(alg, p), alg.dim, leib.dim)
+    return lift(alg, p)
 
 
+COEFFICIENTS = [(name, c) for name in ALGEBRAS for c in ("trivial", "adjoint")]
+COEFFICIENTS += [("sl2", "standard")]
 CASES = [
     ("coboundary", name, coefficients, p, mode, out_mode)
-    for name in ALGEBRAS
-    for coefficients in ("trivial", "adjoint")
+    for name, coefficients in COEFFICIENTS
     for p in (0, 1)
     for mode, out_mode in MODES
 ]
 CASES += [
     ("equivariance", name, coefficients, p, mode)
-    for name in ALGEBRAS
-    for coefficients in ("trivial", "adjoint")
+    for name, coefficients in COEFFICIENTS
     for p in (0, 1)
     for mode in ("fused", "split", "tensor")
 ]
@@ -81,18 +85,16 @@ CASES += [("ternary_lift", "volume_d3_twisted", p) for p in (0, 1)]
 @cache
 def built(case):
     """A case's statement and its matrix, built once."""
-    space_in, space_out, scatter, dv, dv_out = statement(case)
-    return space_in, space_out, scatter, dv, dv_out, scatter_matrix(
-        space_in, space_out, scatter, dv, dv_out
-    )
+    space_in, space_out, scatter = statement(case)
+    return space_in, space_out, scatter, scatter_matrix(space_in, space_out, scatter)
 
 
 RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=3).filter(bool)
 
 
-def sparse_values(data, space, dv):
+def sparse_values(data, space):
     """Random nonzero sparse rational values on a few keys, in key order."""
-    keys = space.keys
+    keys, dv = space.keys, space.value_dim
     indices = st.integers(0, len(keys) - 1)
     chosen = data.draw(st.lists(indices, min_size=1, max_size=6, unique=True))
     values = {}
@@ -102,8 +104,8 @@ def sparse_values(data, space, dv):
     return values
 
 
-def flat(values, space, dv):
-    out = [0] * (space.nkeys * dv)
+def flat(values, space):
+    out, dv = [0] * space.dim, space.value_dim
     for key, vec in values.items():
         for r, v in vec.items():
             out[space.index(key) * dv + r] = v
@@ -120,12 +122,43 @@ def assert_stored(coeffs):
 @settings(max_examples=150, deadline=None)
 def test_scatter_values_is_the_matrix_of_the_scatter(data):
     case = data.draw(st.sampled_from(CASES))
-    space_in, space_out, scatter, dv, dv_out, matrix = built(case)
-    values = sparse_values(data, space_in, dv)
-    got = scatter_values(values, scatter)
-    assert_stored(got)
-    via_matrix = linalg.sparse_mat_vec(matrix, flat(values, space_in, dv))
-    assert flat(got, space_out, dv_out) == list(via_matrix)
+    space_in, space_out, scatter, matrix = built(case)
+    values = sparse_values(data, space_in)
+    got = apply((space_in, space_out, scatter), Cochain(space_in, values))
+    assert got.space is space_out
+    assert_stored(got.coeffs)
+    via_matrix = linalg.sparse_mat_vec(matrix, flat(values, space_in))
+    assert flat(got.coeffs, space_out) == list(via_matrix)
+
+
+def value_dims(case):
+    """The value dimensions a case's statement maps between."""
+    kind, name, *rest = case
+    alg = algebra(name)
+    if kind in ("coboundary", "equivariance"):
+        dv = representation(name, rest[0]).dim
+        return dv, dv
+    leib = bridge.tensor_fundamental_of(alg)
+    return (leib.dim if kind == "leibniz" else alg.dim), leib.dim
+
+
+def test_spaces_carry_the_value_dimensions():
+    for case in CASES:
+        space_in, space_out, _, matrix = built(case)
+        assert (space_in.value_dim, space_out.value_dim) == value_dims(case), case
+        assert matrix.shape == (space_out.dim, space_in.dim), case
+        assert all(r < matrix.rows and c < matrix.cols for r, c in matrix.entries), case
+
+
+def test_apply_rejects_a_cochain_off_the_input_space():
+    # the matrix route refused these by the length of the flat vector
+    alg = algebra("sl2")
+    statement = coboundary_scatter(alg, adjoint_representation(alg), 1)
+    assert apply(statement, Cochain.zero(CochainSpace(alg, 1, "adjoint"))).coeffs == {}
+    others = [("scalar", 1, "fused"), ("adjoint", 2, "fused"), ("adjoint", 1, "split")]
+    for values, degree, mode in others:
+        with pytest.raises(CochainError):
+            apply(statement, Cochain.zero(CochainSpace(alg, degree, values, mode)))
 
 
 COMPLEXES = [
@@ -144,8 +177,8 @@ def test_pointwise_d_squared_is_zero(data):
         cases = [(kind, name, coefficients, q, mode, None) for q in (p, p + 1)]
     else:
         cases = [(kind, name, q) for q in (p, p + 1)]
-    (space_in, _, first, dv, *_), (_, _, second, *_) = map(statement, cases)
-    once = scatter_values(sparse_values(data, space_in, dv), first)
+    (space_in, _, first), (_, _, second) = map(statement, cases)
+    once = scatter_values(sparse_values(data, space_in), first)
     assert_stored(once)
     assert scatter_values(once, second) == {}
 
