@@ -267,14 +267,17 @@ def delta_lift_ternary(phi: Cochain) -> Cochain:
     return apply(ternary_lift_scatter(phi.space.alg, phi.space.degree), phi)
 
 
-def check_commuting_square(phi: Cochain):
-    """Evaluate d(lift phi) - lift(delta phi) on all basis tuples.
+def check_commuting_square(phi: Cochain, lifted=None):
+    """Evaluate d(lift phi) - lift(delta phi) on all basis tuples;
+    ``lifted`` is ``delta_lift(phi)`` when the caller already holds it.
 
     Returns ``(holds, residuals)`` with residuals as a tuple -> vector
     table (empty iff the square commutes).
     """
     leib = tensor_fundamental_of(phi.space.alg)
-    lhs = leibniz_coboundary(leib, delta_lift(phi))
+    if lifted is None:
+        lifted = delta_lift(phi)
+    lhs = leibniz_coboundary(leib, lifted)
     rhs = delta_lift(bridge_coboundary(phi))
     residuals = {}
     for key in set(lhs.coeffs) | set(rhs.coeffs):

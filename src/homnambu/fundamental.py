@@ -115,7 +115,7 @@ def induced_algebra(alg: HomNambuAlgebra, basis, coords) -> HomLeibnizAlgebra:
     """
     n, d = alg.arity, alg.dim
     alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
-    l_action = [[exact_vec(alg.bracket_basis_sparse(t + (z,))) for z in range(d)] for t in basis]
+    l_action = [[alg.bracket_basis_sparse(t + (z,)) for z in range(d)] for t in basis]
     table = []
     for lx in l_action:
         row = []

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from functools import lru_cache
 
 
 def perm_sign(perm) -> int:
@@ -23,12 +24,14 @@ def perm_sign(perm) -> int:
     return sign
 
 
-def sort_with_sign(indices):
+@lru_cache(maxsize=1 << 16)
+def sort_with_sign(idx: tuple):
     """Canonicalize a tuple of basis indices for a skew-symmetric slot.
 
     Returns ``(sorted_tuple, sign)``; sign is 0 when an index repeats.
+    Pure and memoized, so ``idx`` must be a tuple: the few distinct
+    tuples of at most n indices below d are each sorted once.
     """
-    idx = tuple(indices)
     if len(set(idx)) != len(idx):
         return idx, 0
     order = sorted(range(len(idx)), key=idx.__getitem__)

@@ -2,12 +2,13 @@
 
 import itertools
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homnambu import linalg
+from homnambu import algebra, linalg
 from homnambu.algebra import (
     AlgebraError,
     HomNambuAlgebra,
@@ -15,6 +16,7 @@ from homnambu.algebra import (
     NotAnEndomorphismError,
     ad_matrix,
     bracket_eval,
+    bracket_eval_sparse,
     check_hom_nambu_identity,
     check_multiplicativity,
     check_skew_symmetry,
@@ -25,7 +27,10 @@ from homnambu.algebra import (
     yau_twist,
     zero_algebra,
 )
-from homnambu.indices import sort_with_sign
+from homnambu.formats import load_algebra
+from homnambu.indices import sort_with_sign, wedge_basis
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def e(d, i):
@@ -53,18 +58,83 @@ def test_repeated_argument_vanishes():
 
 
 def test_bracket_permutation_signs_exhaustive():
-    alg = filippov_algebra(3, [1, -1, 1, 1])
-    base = bracket_eval(alg, [e(4, 0), e(4, 1), e(4, 3)])
-    for perm in itertools.permutations((0, 1, 3)):
-        _, sign = sort_with_sign(perm)
-        got = bracket_eval(alg, [e(4, i) for i in perm])
-        assert got == tuple(sign * v for v in base)
+    # the permutation oracle behind the structural skew check: on every
+    # shipped algebra, every order of every increasing basis tuple
+    # evaluates to the signed stored value
+    paths = sorted(FIXDIR.glob("*.alg"))
+    assert any(p.stem == "perturbed_n3" for p in paths)
+    for path in paths:
+        alg = load_algebra(path)
+        for key in wedge_basis(alg.dim, alg.arity):
+            stored = {i: v for i, v in enumerate(alg.coeffs.get(key, ())) if v}
+            for perm in itertools.permutations(key):
+                _, sign = sort_with_sign(perm)
+                got = bracket_eval_sparse(alg, [{i: 1} for i in perm])
+                assert got == {i: sign * v for i, v in stored.items()}, (path.stem, perm)
 
 
 def test_check_skew_symmetry_sets_flag():
     alg = filippov_algebra(2, [1, 1, 1])
     assert check_skew_symmetry(alg) == []
     assert alg.skew_checked
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ((1, 0, 2), (0, 0, 0, 1)),  # not increasing
+        ((0, 1, 1), (0, 0, 0, 1)),  # repeated index
+        ((0, 1, 4), (0, 0, 0, 1)),  # out of range
+        ((0, 1), (0, 0, 0, 1)),  # wrong arity
+        ((0, 1, 2), (0, 0, 0)),  # wrong value length
+        ((0, 1, 2), (0, 0, 0, 0)),  # stored zero
+    ],
+)
+def test_check_skew_symmetry_reports_injected_key(key, value):
+    alg = HomNambuAlgebra(4, 3, filippov_algebra(3, [1, 1, 1, 1]).coeffs)
+    alg.coeffs[key] = value
+    assert check_skew_symmetry(alg) == [(key, {i: v for i, v in enumerate(value) if v})]
+    assert not alg.skew_checked
+
+
+def test_check_skew_symmetry_evaluates_no_bracket(monkeypatch):
+    alg = load_algebra(FIXDIR / "filippov_n4.alg")
+    calls = []
+    evaluate, basis = algebra.bracket_eval_sparse, HomNambuAlgebra.bracket_basis_sparse
+    monkeypatch.setattr(
+        algebra, "bracket_eval_sparse", lambda *a: calls.append("eval") or evaluate(*a)
+    )
+    monkeypatch.setattr(
+        HomNambuAlgebra, "bracket_basis_sparse", lambda *a: calls.append("basis") or basis(*a)
+    )
+    assert check_skew_symmetry(alg) == [] and alg.skew_checked
+    assert calls == []
+    assert not any(validate(alg).values())
+    assert {"eval", "basis"} <= set(calls)  # the counters do see the other checks
+
+
+def test_bracket_basis_sparse_matches_dense_on_every_ordered_tuple():
+    for path in sorted(FIXDIR.glob("*.alg")):
+        alg = load_algebra(path)
+        for key in itertools.product(range(alg.dim), repeat=alg.arity):
+            sparse = alg.bracket_basis_sparse(key)
+            assert sparse == {i: v for i, v in enumerate(alg.bracket_basis(key)) if v}, (path.stem, key)
+            assert all(type(v) is (int if v.denominator == 1 else Fraction) for v in sparse.values())
+
+
+def test_bracket_basis_sparse_columns_follow_inserts_and_stay_private():
+    alg = zero_algebra(3, 2)
+    assert alg.bracket_basis_sparse((0, 1)) == {}  # builds the column table
+    alg._insert((1, 0), (2, 0, Fraction(1, 2)))
+    col = alg.bracket_basis_sparse((0, 1))
+    assert col == {0: -2, 2: Fraction(-1, 2)}
+    assert type(col[0]) is int and type(col[2]) is Fraction
+    for key in ((0, 1), (1, 0)):
+        got = alg.bracket_basis_sparse(key)
+        got[1] = 7
+        got.pop(0)
+    assert alg.bracket_basis_sparse((1, 0)) == {0: 2, 2: Fraction(1, 2)}
+    assert bracket_eval_sparse(alg, [{0: 1}, {1: 3}]) == {0: -6, 2: Fraction(-3, 2)}
 
 
 def test_hom_nambu_zero_bracket():
@@ -134,7 +204,7 @@ def test_automorphisms_are_det_one():
             row = next(r for r in range(4) if rho[r, col])
             perm.append(row)
             signs.append(rho[row, col])
-        _, psign = sort_with_sign(perm)
+        _, psign = sort_with_sign(tuple(perm))
         det = psign
         for s in signs:
             det *= s

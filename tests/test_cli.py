@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -51,6 +52,19 @@ def test_validate_perturbed_fails_with_witness(capsys):
     code, out, _ = run(capsys, "validate", FIXDIR / "perturbed_n3.alg")
     assert code == 3
     assert "fail at x=" in out
+
+
+def test_validate_formats_a_noncanonical_skew_key(monkeypatch, capsys):
+    # the loader canonicalizes every key, so inject one behind it
+    from homnambu import cli
+
+    alg = load_algebra(FIXDIR / "filippov_n3.alg")
+    alg.coeffs[(1, 0, 2)] = (0, 0, 0, Fraction(-1, 2))
+    monkeypatch.setattr(cli, "_load", lambda path: alg)
+    code, out, _ = run(capsys, "validate", "injected.alg")
+    assert code == 3
+    assert "skew: fail at (2,1,3): 0,0,0,-1/2" in out
+    assert "skew_checked: False" in out
 
 
 def test_zero_denominator_exit_2(tmp_path, capsys):
@@ -324,6 +338,23 @@ def test_bridge_check_holds(capsys):
     )
     assert code == 0
     assert "commuting_square: holds" in out
+
+
+def test_bridge_check_ternary_lifts_phi_once(monkeypatch, capsys):
+    from homnambu import bridge
+
+    lifted = []
+    delta_lift = bridge.delta_lift
+
+    def counted(phi):
+        lifted.append(phi.space.degree)
+        return delta_lift(phi)
+
+    monkeypatch.setattr(bridge, "delta_lift", counted)
+    code, out, _ = run(capsys, "bridge-check", FIXDIR / "filippov_n3.alg", "--degree", "1", "--ternary")
+    assert code == 0
+    assert "ternary_paths_agree: True" in out
+    assert sorted(lifted) == [1, 2]  # phi once, and its coboundary
 
 
 def test_bridge_check_degree_1(capsys):
