@@ -128,14 +128,16 @@ class HomNambuAlgebra:
         return dict(col) if sign == 1 else {i: -v for i, v in col.items()}
 
     def twist_power(self, k: int) -> linalg.SparseMatrix:
-        """alpha^k with the conventions alpha^0 = id and alpha^(-1) = 0."""
+        """alpha^k with the conventions alpha^0 = id and alpha^(-1) = 0,
+        built up from the highest power cached."""
         if k < -1:
             raise AlgebraError("twist power below -1")
         if k == -1:
             return linalg.zeros(self.dim, self.dim)
-        if k not in self._twist_powers:
-            self._twist_powers[k] = linalg.matmul(self.twist, self.twist_power(k - 1))
-        return self._twist_powers[k]
+        powers = self._twist_powers
+        for j in range(len(powers), k + 1):  # powers 0 .. len - 1 are cached
+            powers[j] = linalg.sparse_matmul(self.twist, powers[j - 1])
+        return powers[k]
 
     def twist_column_sparse(self, i: int, k: int = 1) -> dict:
         return self.twist_power(k).column(i)

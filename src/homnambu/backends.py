@@ -1,4 +1,5 @@
-"""The exact elimination engine and the integer matrix product.
+"""The exact elimination engine, and the dense integer product kept as a
+reference.
 
 Every rank, kernel, image and solve in :mod:`homnambu.linalg` ends in
 :func:`echelon_int`: sparse Gaussian elimination over the integers on
@@ -18,6 +19,11 @@ keeps coefficients at the size of the reduced row rather than of a
 Bareiss minor.  Back-substitution then clears every pivot column above
 and below its pivot, giving the reduced row echelon form, which is
 unique: bases built from it do not depend on the row order.
+
+:func:`matmul_int` is the dense integer product behind
+:func:`homnambu.linalg.matmul`: a reference that the tests compare the
+sparse product against, kept under the names the benchmark's tracer
+wraps; no path of the package calls it.
 """
 
 from __future__ import annotations
@@ -96,6 +102,7 @@ def echelon_int(int_rows, rows, cols):
 
 def matmul_int(a_rows, b_rows, n, k, m):
     """Exact product of an ``n x k`` and a ``k x m`` integer matrix given
-    as nested lists; the product is a list of ``n`` lists of ``m`` ints."""
+    as nested lists; the product is a list of ``n`` lists of ``m`` ints
+    (the dense reference; see the module docstring)."""
     b_cols = list(zip(*b_rows)) if k else [()] * m
     return [[sum(x * y for x, y in zip(row, col)) for col in b_cols] for row in a_rows]

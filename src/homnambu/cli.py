@@ -21,7 +21,7 @@ from . import adjoint_cohomology, algebra, bridge, derivations, formats
 from . import fundamental as fundamental_mod
 from . import scalar_cohomology
 from .cochains import Cochain, CochainSpace
-from .indices import exact_vec, sv_add
+from .indices import exact_vec, sv_add, sv_to_dense
 
 OK, PARSE_ERROR, CHECK_FAILED, PRECONDITION = 0, 2, 3, 4
 
@@ -52,10 +52,7 @@ def _fmt_vector(vec) -> str:
 
 
 def _fmt_sparse(diff, dim) -> str:
-    dense = [Fraction(0)] * dim
-    for k, v in diff.items():
-        dense[k] = v
-    return _fmt_vector(dense)
+    return _fmt_vector(sv_to_dense(diff, dim))
 
 
 def _load(path) -> algebra.HomNambuAlgebra:

@@ -14,7 +14,10 @@ representation), has the degree-0 coboundary
     (d D)(x_1, ..., x_n) = sum_i [a^k x_1, ..., D x_i, ..., a^k x_n] - D([x_1, ..., x_n]),
 
 the negated Leibniz defect, and degree-0 equivariance rows a D - D a;
-the level-k derivations are the common kernel of the two.
+the level-k derivations are the common kernel of the two, and
+:func:`derivation_violations` applies the same two operators to one
+matrix.  Products of matrices (inner derivations, commutators, the
+representation identity) are :func:`homnambu.linalg.sparse_matmul`.
 
 Matrices of derivations are flattened row-major (D[r, c] at r*d + c) so
 spaces of derivations live in Q^(d^2) as ordinary subspaces.  The
@@ -25,13 +28,10 @@ degree-0 cochain layout stores D[r, c] at c*d + r (column c of D at key
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import cochains, linalg
-from .algebra import AlgebraError, HomNambuAlgebra, ad_matrix, bracket_eval_sparse
+from .algebra import AlgebraError, HomNambuAlgebra, ad_matrix
 from .indices import expand, sort_with_sign, wedge_basis
-
-ONE = Fraction(1)
 
 
 class FixedPointError(AlgebraError):
@@ -87,13 +87,13 @@ def derivation_violations(alg: HomNambuAlgebra, matrix, k: int):
     with diff = D([x]) - sum_i [a^k x_1, ..., D x_i, ..., a^k x_n].
     """
     d = alg.dim
-    defect = linalg.sparse_mat_vec(
-        _leibniz_matrix(alg, k), [matrix[r, c] for r in range(d) for c in range(d)]
-    )
+    flat = [matrix[r, c] for r in range(d) for c in range(d)]
+    defect = linalg.sparse_mat_vec(_leibniz_matrix(alg, k), flat)
+    rows = linalg.sparse_mat_vec(commutation_matrix(alg), flat)  # (A D - D A)[r, c] at c*d + r
     violations = []
-    comm = linalg.matmul(matrix, alg.twist) - linalg.matmul(alg.twist, matrix)
-    if not linalg.is_zero_matrix(comm):
-        violations.append(("twist_commutation", comm))
+    if any(rows):
+        comm = {(i % d, i // d): -v for i, v in enumerate(rows) if v}
+        violations.append(("twist_commutation", linalg.SparseMatrix(d, d, comm)))
     for t, key in enumerate(wedge_basis(d, alg.arity)):
         diff = tuple(-v for v in defect[t * d:(t + 1) * d])
         if any(diff):
@@ -122,7 +122,7 @@ def inner_derivation(alg: HomNambuAlgebra, xs, k: int) -> Derivation:
     for pos, x in enumerate(xs):
         if alg.twist_apply(x) != x:
             raise FixedPointError(pos)
-    m = linalg.matmul(ad_matrix(alg, xs), alg.twist_power(k))
+    m = linalg.sparse_matmul(ad_matrix(alg, xs), alg.twist_power(k))
     bad = derivation_violations(alg, m, k + 1)
     if bad:  # pragma: no cover - guaranteed by the fixed-point hypothesis
         raise AlgebraError(f"inner derivation failed verification: {bad[0]}")
@@ -134,7 +134,7 @@ def derivation_commutator(alg: HomNambuAlgebra, d1: Derivation, d2: Derivation) 
     level = d1.level + d2.level
     if level < -1:
         raise LevelUnderflowError(level)
-    m = linalg.matmul(d1.matrix, d2.matrix) - linalg.matmul(d2.matrix, d1.matrix)
+    m = linalg.sparse_matmul(d1.matrix, d2.matrix) - linalg.sparse_matmul(d2.matrix, d1.matrix)
     bad = derivation_violations(alg, m, level)
     if bad:
         raise AlgebraError(f"commutator failed verification at level {level}: {bad[0]}")
@@ -226,15 +226,15 @@ def check_representation(alg: HomNambuAlgebra, rep: RepresentationMap):
             rho_ay = _rho_eval(rep, [alpha_cols[i] for i in y])
             rho_x = rep.rho_basis(x)
             rho_y = rep.rho_basis(y)
-            lhs = linalg.matmul(rho_ax, rho_y) - linalg.matmul(rho_ay, rho_x)
+            lhs = linalg.sparse_matmul(rho_ax, rho_y) - linalg.sparse_matmul(rho_ay, rho_x)
             rhs = linalg.zeros(rep.dim, rep.dim)
             for i in range(n - 1):
-                ad_x_yi = bracket_eval_sparse(alg, [{j: ONE} for j in x] + [{y[i]: ONE}])
+                ad_x_yi = alg.bracket_basis_sparse(x + (y[i],))
                 args = [alpha_cols[y[j]] for j in range(i)]
                 args.append(ad_x_yi)
                 args += [alpha_cols[y[j]] for j in range(i + 1, n - 1)]
                 rhs = rhs + _rho_eval(rep, args)
-            rhs = linalg.matmul(rhs, rep.nu)
+            rhs = linalg.sparse_matmul(rhs, rep.nu)
             diff = lhs - rhs
             if not linalg.is_zero_matrix(diff):
                 violations.append((x, y, diff))
@@ -253,11 +253,9 @@ def check_rep_equivalence(rep: RepresentationMap, rep2: RepresentationMap, f) ->
         raise AlgebraError("representations are not comparable")
     if linalg.rank(f) != rep.dim:
         raise SingularMapError("singular f")
-    if not linalg.is_zero_matrix(linalg.matmul(f, rep.nu) - linalg.matmul(rep2.nu, f)):
+    if linalg.sparse_matmul(f, rep.nu) != linalg.sparse_matmul(rep2.nu, f):
         return False
-    for key in sorted(set(rep.rho) | set(rep2.rho)):
-        lhs = linalg.matmul(f, rep.rho_basis(key))
-        rhs = linalg.matmul(rep2.rho_basis(key), f)
-        if not linalg.is_zero_matrix(lhs - rhs):
-            return False
-    return True
+    return all(
+        linalg.sparse_matmul(f, rep.rho_basis(key)) == linalg.sparse_matmul(rep2.rho_basis(key), f)
+        for key in sorted(set(rep.rho) | set(rep2.rho))
+    )

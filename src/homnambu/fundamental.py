@@ -29,14 +29,6 @@ from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis, we
 ONE = Fraction(1)
 
 
-def wedge_of_indices(windex, idx_tuple) -> dict:
-    """Canonical sparse wedge coordinates of e_{i1} ^ ... ^ e_{i_{n-1}}."""
-    canon, sign = sort_with_sign(idx_tuple)
-    if sign == 0:
-        return {}
-    return {windex[canon]: Fraction(sign)}
-
-
 def wedge_of_vectors(windex, vectors) -> dict:
     """Expand a decomposable wedge of sparse vectors into wedge coords."""
     out = {}
@@ -95,14 +87,6 @@ def l_action_sparse(alg: HomNambuAlgebra, wedge, x: dict, z: dict) -> dict:
         for k, v in bracket_eval_sparse(alg, args).items():
             sv_add(out, k, coeff * v)
     return out
-
-
-def l_action(alg: HomNambuAlgebra, x_vectors, z):
-    """L(x).z on a decomposable wedge given as n-1 dense vectors."""
-    sx = [{i: v for i, v in enumerate(linalg.vec(vv)) if v} for vv in x_vectors]
-    sz = {i: v for i, v in enumerate(linalg.vec(z)) if v}
-    out = bracket_eval_sparse(alg, sx + [sz])
-    return tuple(out.get(i, Fraction(0)) for i in range(alg.dim))
 
 
 def induced_algebra(alg: HomNambuAlgebra, basis, coords) -> HomLeibnizAlgebra:
@@ -206,33 +190,28 @@ def check_hom_leibniz(leib: HomLeibnizAlgebra):
 def check_l_compatibility(alg: HomNambuAlgebra):
     """Exhaustive check that L intertwines the induced bracket:
     L([x,y]).a(z) = L(a(x)).(L(y).z) - L(a(y)).(L(x).z)
-    over wedge-basis pairs x, y and basis vectors z.
+    over wedge-basis pairs x, y and basis vectors z, read off the tables
+    of :func:`fundamental_of` (``l_action``, ``table``, ``twist_cols``).
 
     Returns violations ``(i, j, z, difference)``.
     """
     fund = fundamental_of(alg)
-    wedge = fund.basis
+    action = fund.l_action
     alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
-    units = [{i: ONE} for i in range(len(wedge))]
     violations = []
-    for i in range(len(wedge)):
-        ax = fund.twist_sparse(units[i])
-        for j in range(len(wedge)):
-            ay = fund.twist_sparse(units[j])
-            xy = fund.bracket_sparse(units[i], units[j])
+    for i in range(fund.dim):
+        for j in range(fund.dim):
             for z in range(alg.dim):
-                az = alpha_cols[z]
-                lhs = l_action_sparse(alg, wedge, xy, az)
-                rhs = l_action_sparse(
-                    alg, wedge, ax, l_action_sparse(alg, wedge, units[j], {z: ONE})
-                )
-                for key, v in l_action_sparse(
-                    alg, wedge, ay, l_action_sparse(alg, wedge, units[i], {z: ONE})
-                ).items():
-                    sv_add(rhs, key, -v)
-                diff = dict(lhs)
-                for key, v in rhs.items():
-                    sv_add(diff, key, -v)
+                diff = {}
+                for sign, x, v in (
+                    (1, fund.table[i][j], alpha_cols[z]),
+                    (-1, fund.twist_cols[i], action[j][z]),
+                    (1, fund.twist_cols[j], action[i][z]),
+                ):
+                    for b, xb in x.items():
+                        for t, vt in v.items():
+                            for k, w in action[b][t].items():
+                                sv_add(diff, k, sign * xb * vt * w)
                 if diff:
                     violations.append((i, j, z, diff))
     return violations

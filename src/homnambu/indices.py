@@ -91,10 +91,6 @@ def sv_add(acc: dict, key, coeff) -> None:
         acc.pop(key, None)
 
 
-def sv_from_dense(entries) -> dict:
-    return {i: Fraction(v) for i, v in enumerate(entries) if v}
-
-
 def sv_to_dense(vec: dict, length: int) -> tuple:
     out = [Fraction(0)] * length
     for k, v in vec.items():

@@ -40,9 +40,10 @@ def zero_coboundary_matrix(alg: HomNambuAlgebra, mode: str = "fused") -> linalg.
 
 
 def apply_zero_coboundary(alg: HomNambuAlgebra, covector, mode: str = "fused") -> Cochain:
-    space = CochainSpace(alg, 1, "scalar", mode)
-    flat = linalg.sparse_mat_vec(zero_coboundary_matrix(alg, mode), linalg.vec(covector))
-    return Cochain.from_flat(space, flat)
+    """-phi o bracket for a covector phi, through the degree-0 scatter."""
+    scatter = cochains.coboundary_scatter(alg, trivial_representation(alg), 0, "split", mode)[2]
+    values = {(z,): {0: v} for z, v in enumerate(linalg.vec(covector)) if v}
+    return Cochain(CochainSpace(alg, 1, "scalar", mode), cochains.scatter_values(values, scatter))
 
 
 def coboundary_matrix(

@@ -86,7 +86,7 @@ def test_criterion_03_delta_squared_trivial_coefficients():
         for p in (1, 2):
             lo = sc.coboundary_matrix(alg, p)
             hi = sc.coboundary_matrix(alg, p + 1)
-            assert linalg.sparse_matmul(hi, lo).is_zero(), (name, p)
+            assert linalg.is_zero_matrix(linalg.sparse_matmul(hi, lo)), (name, p)
         count += 1
     assert count >= 5
     _ok(f"criterion 3: trivial-coefficient matrix(d(p+1)) . matrix(d(p)) = 0, p in {{1,2}}, {count} fixtures")
@@ -111,7 +111,7 @@ def test_criterion_04_delta_squared_adjoint_equivariant():
             equi = ac.equivariant_basis(alg, p)
             lo = linalg.restrict_columns(ac.coboundary_matrix(alg, p), equi)
             hi = ac.coboundary_matrix(alg, p + 1)
-            assert linalg.sparse_matmul(hi, lo).is_zero(), (name, p)
+            assert linalg.is_zero_matrix(linalg.sparse_matmul(hi, lo)), (name, p)
     _ok(
         "criterion 4: adjoint compositions vanish on the equivariant subspace, "
         f"p in {{1,2}}, {len(ADJOINT_FIXTURES)} fixtures"

@@ -152,7 +152,7 @@ def test_leibniz_d_squared_zero_matrix_composition():
     leib = build_tensor_fundamental(alg)
     m1 = leibniz_coboundary_matrix(leib, 1)
     m2 = leibniz_coboundary_matrix(leib, 2)
-    assert linalg.sparse_matmul(m2, m1).is_zero()
+    assert linalg.is_zero_matrix(linalg.sparse_matmul(m2, m1))
 
 
 def test_leibniz_d_squared_zero_pointwise_filippov():

@@ -149,6 +149,17 @@ def test_derivations_matches_library(capsys):
         assert printed == unflatten_matrix(flat, alg.dim)
 
 
+def test_derivations_at_a_high_twist_power(capsys):
+    # the rotation twist has order 4, so alpha^3000 = id and level 3000
+    # has the derivations of level 0
+    twisted = FIXDIR / "filippov_n3_twisted.alg"
+    code, out, _ = run(capsys, "--json", "derivations", twisted, "-k", "3000")
+    assert code == 0
+    code, out0, _ = run(capsys, "--json", "derivations", twisted, "-k", "0")
+    assert code == 0
+    assert json.loads(out)["basis"] == json.loads(out0)["basis"]
+
+
 def test_derivations_refuses_invalid(capsys):
     code, _, err = run(capsys, "derivations", FIXDIR / "perturbed_n3.alg")
     assert code == 4

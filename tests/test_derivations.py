@@ -3,10 +3,11 @@
 import itertools
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from homnambu import fixtures, linalg
+from homnambu import backends, cli, fixtures, linalg
 from homnambu.algebra import (
     HomNambuAlgebra,
     bracket_eval,
@@ -28,6 +29,10 @@ from homnambu.derivations import (
     unflatten_matrix,
     SingularMapError,
 )
+from homnambu.formats import load_algebra
+from representations import sl2_standard
+
+FIXDIR = Path(__file__).resolve().parent.parent / "fixtures"
 
 
 def e(d, i):
@@ -324,3 +329,26 @@ def test_rep_equivalence_rejects_singular_map():
     rep = adjoint_representation(alg)
     with pytest.raises(SingularMapError):
         check_rep_equivalence(rep, rep, linalg.zeros(4, 4))
+
+
+def test_every_product_is_the_sparse_one(monkeypatch, tmp_path):
+    # the dense product is a reference for the tests: no path reaches it
+    def refuse(*args):
+        raise AssertionError("the dense reference product was called")
+
+    monkeypatch.setattr(linalg, "matmul", refuse)
+    monkeypatch.setattr(backends, "matmul_int", refuse)
+    alg = load_algebra(FIXDIR / "filippov_n3_twisted.alg")
+    alg.twist_power(3)
+    for k in (-1, 0, 1, 2):
+        derivation_space(alg, k)
+    refl = fixtures.twisted_filippov_reflection()
+    der = inner_derivation(refl, [e(4, 0), e(4, 1)], 1)
+    derivation_commutator(refl, der, der)
+    sl2, rep = load_algebra(FIXDIR / "sl2.alg"), sl2_standard()
+    check_representation(sl2, rep)
+    check_rep_equivalence(rep, rep, linalg.eye(2))
+    monkeypatch.chdir(tmp_path)
+    argv = ["cohomology", FIXDIR / "sl2.alg", "-p", "3", "--coefficients", "adjoint"]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert cli.main(["bridge-check", str(FIXDIR / "volume_d3_twisted.alg"), "-p", "2"]) == 0

@@ -11,7 +11,6 @@ from homnambu.indices import (
     perm_sign,
     sort_with_sign,
     sv_add,
-    sv_from_dense,
     sv_to_dense,
     tensor_basis,
     wedge_basis,
@@ -63,7 +62,7 @@ def test_wedge_and_tensor_basis_sizes():
 
 def test_sparse_vector_roundtrip_drops_zeros():
     dense = (Fraction(0), Fraction(2), Fraction(0), Fraction(-1, 3))
-    sv = sv_from_dense(dense)
+    sv = {i: v for i, v in enumerate(dense) if v}
     assert sv == {1: Fraction(2), 3: Fraction(-1, 3)}
     assert sv_to_dense(sv, 4) == dense
     sv_add(sv, 1, Fraction(-2))

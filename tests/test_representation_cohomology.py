@@ -52,7 +52,7 @@ def d_squared_is_zero(alg, rep, p, restrict=False):
     first = operator(alg, rep, p)
     if restrict:
         first = linalg.restrict_columns(first, compatible(alg, rep, p))
-    return linalg.sparse_matmul(operator(alg, rep, p + 1), first).is_zero()
+    return linalg.is_zero_matrix(linalg.sparse_matmul(operator(alg, rep, p + 1), first))
 
 
 def test_sl2_standard_representation_complex():

@@ -90,7 +90,7 @@ def test_delta_squared_is_zero(mode):
         for p in (1, 2):
             lo = coboundary_matrix(alg, p, mode)
             hi = coboundary_matrix(alg, p + 1, mode)
-            assert linalg.sparse_matmul(hi, lo).is_zero(), (name, mode, p)
+            assert linalg.is_zero_matrix(linalg.sparse_matmul(hi, lo)), (name, mode, p)
 
 
 def test_delta_squared_dense_oracle():
