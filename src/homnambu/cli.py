@@ -10,6 +10,7 @@ machine-readable dump.  Exit codes: 0 all requested checks pass,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -389,9 +390,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first :func:`main` call,
+    not at import."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.  The parser is built
+    once per process (:func:`_parser`): parsing keeps no state between
+    calls, since each call gets a fresh namespace, so in-process callers
+    such as a benchmark worker or the tests pay for it once."""
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         report, code = args.func(args)

@@ -325,6 +325,14 @@ def _twisted(choice) -> tuple:
     return tuple([item[-2] for item in choice]), w
 
 
+def _spread(scalars: dict, head, b, tail, w, slots: int):
+    """``scalars[out] += (-1)^i w`` for each i < slots, with out the key
+    ``head`` with block b in slot i, then ``tail``."""
+    for i in range(slots):
+        out = head[:i] + (b,) + head[i:] + tail
+        scalars[out] = scalars.get(out, 0) + (w if i % 2 == 0 else -w)
+
+
 def _family(ops: dict, dv: int) -> list:
     """``ops`` ``{a: {c: column}}`` seen from the value's side: entry c
     lists ``(a, column)`` for every map a that reads component c."""
@@ -347,7 +355,11 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
     per slot s and final index, rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per
     output tail.  The inverse tables are built once per call with
     integral values as ints, so integral structure constants give
-    integer arithmetic.
+    integer arithmetic, and so are the twist images of each block tuple:
+    d1 reads those of the blocks before and after the bracket's slot, d2
+    those of the whole tuple.  For a bracket in a slot before the last,
+    the last output block is a twist image of the input's last block,
+    so whether a split argument has a row is known before the loops.
     """
     space_in = CochainSpace(alg, p, rep, mode)
     space_out = CochainSpace(alg, p + 1, rep, out_mode or mode)
@@ -373,15 +385,23 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
                         fourth.setdefault((s, y[s]), {})[tail] = weights
     third_blocks, third = list(third), _family(third, rep.dim)
     fourth = {st: _family(ops, rep.dim) for st, ops in fourth.items()}
+    products = {}  # block tuple -> its twist images (args, weight), in product order
 
-    def inserted(args, b, upto, z):
-        """``(out_key, (-1)^i)`` for block b in slot i <= upto of args,
-        z final, where that argument has a row."""
+    def twisted(blocks):
+        if (found := products.get(blocks)) is None:
+            found = products[blocks] = [
+                _twisted(choice) for choice in itertools.product(*[twist[x] for x in blocks])
+            ]
+        return found
+
+    def inserted(args, b, z):
+        """``(out_key, (-1)^i)`` for block b in slot i <= p of args, z
+        final, where that argument has a row."""
         if args and (tail := tails[args[-1]][z]):
             head = args[:-1]
-            for i in range(min(upto, p - 1) + 1):
+            for i in range(p):
                 yield head[:i] + (b,) + head[i:] + tail, 1 - 2 * (i % 2)
-        if upto == p and (tail := tails[b][z]):
+        if tail := tails[b][z]:
             yield args + tail, 1 - 2 * (p % 2)
 
     def appended(u, w):
@@ -390,22 +410,40 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
     def scatter(key):
         scalars, maps, third_at = {}, [], {}
         for u, t, sign in representatives(key):
-            twisted = [twist[x] for x in u]
-            # d1: [x_i, x_j] in slot q of u (so i <= q), the twist in the others
-            for q in range(p):
-                for choice in itertools.product(*twisted[:q], bracket[u[q]], *twisted[q + 1:]):
-                    args, w = _twisted(choice)
-                    for z, wz in alpha[t]:
-                        for out, s in inserted(args, choice[q][0], q, z):
-                            scalars[out] = scalars.get(out, 0) - s * sign * w * wz
-            # d2: L(x_i).z in the final slot
-            for choice in itertools.product(*twisted):
-                args, w = _twisted(choice)
+            # d1: [x_i, x_j] in slot q of u, a in block i <= q of the output;
+            # for q < p - 1 the last output block is a twist image of u's
+            # last, so the rows that exist are known before the loops
+            ends = [
+                (tail, wc * wz)
+                for c, wc in (twist[u[-1]] if p > 1 else ())
+                for z, wz in alpha[t]
+                if (tail := tails[c][z])
+            ]
+            for q in range(p - 1 if ends else 0):
+                for pre, wp in twisted(u[:q]):
+                    for a, c, wb in bracket[u[q]]:
+                        for mid, wm in twisted(u[q + 1:-1]):
+                            head, w = pre + (c,) + mid, -sign * wp * wb * wm
+                            for tail, we in ends:
+                                _spread(scalars, head, a, tail, w * we, q + 1)
+            if p:  # q = p - 1: the bracket's second block is the last one
+                for pre, wp in twisted(u[:-1]):
+                    for a, c, wb in bracket[u[-1]]:
+                        w = -sign * wp * wb
+                        for z, wz in alpha[t]:
+                            if tail := tails[c][z]:
+                                _spread(scalars, pre, a, tail, w * wz, p)
+            # d2: L(x_i).z in the final slot, a in every other block
+            for args, w in twisted(u):
+                w, row = -sign * w, tails[args[-1]] if args else None
                 for b, z, wl in laction[t]:
-                    for out, s in inserted(args, b, p, z):
-                        scalars[out] = scalars.get(out, 0) - s * sign * w * wl
+                    if row and (tail := row[z]):
+                        _spread(scalars, args[:-1], b, tail, w * wl, p)
+                    if tail := tails[b][z]:
+                        out, ww = args + tail, w * wl
+                        scalars[out] = scalars.get(out, 0) + (ww if p % 2 == 0 else -ww)
             for b in third_blocks:  # d3
-                for out, s in inserted(u, b, p, t):
+                for out, s in inserted(u, b, t):
                     third_at.setdefault(b, []).append((out, s * sign))
             for s in range(n - 1):  # d4, sign (-1)^p (-1)^(n-s) with 1-based s
                 if family := fourth.get((s, t)):
@@ -449,15 +487,18 @@ def scatter_matrix(space_in, space_out, scatter) -> linalg.SparseMatrix:
     dimensions of the two spaces (they differ where the map changes the
     value space, as the lift does).  Row numbers are read off the digits
     of K: a table of the output keys would be the largest allocation of
-    the build."""
+    the build.  No other input key writes the columns of a key, so its
+    scalar weights are written into the matrix as they come and its map
+    terms summed there in place, an entry that cancels dropped at once."""
     dv, dv_out, index, entries = space_in.value_dim, space_out.value_dim, space_out.index, {}
     for k, key in enumerate(space_in.keys):
         scalars, maps = scatter(key)
-        col, block = k * dv, {}  # the columns of this key
+        col = k * dv
         for out, w in scalars.items():
-            row = index(out) * dv_out
-            for r in range(dv):
-                block[row + r, col + r] = w
+            if w:
+                row = index(out) * dv_out
+                for r in range(dv):
+                    entries[row + r, col + r] = w
         for family, place in maps:
             rows = {}  # map a -> [(first row of an output key, weight)]
             for c, reads in enumerate(family):
@@ -467,8 +508,10 @@ def scatter_matrix(space_in, space_out, scatter) -> linalg.SparseMatrix:
                     for row, w in targets:
                         for r, v in column.items():
                             cell = (row + r, col + c)
-                            block[cell] = block.get(cell, 0) + w * v
-        entries.update((cell, v) for cell, v in block.items() if v)
+                            if new := entries.get(cell, 0) + w * v:
+                                entries[cell] = new
+                            else:
+                                entries.pop(cell, None)
     return linalg.SparseMatrix(space_out.dim, space_in.dim, entries)
 
 

@@ -193,6 +193,42 @@ def test_cohomology_trivial_h1(tmp_path, capsys, monkeypatch):
     assert len(load_cochains(basis, alg)) == 4
 
 
+def test_main_builds_one_parser(monkeypatch, capsys):
+    from homnambu import cli
+
+    built, build = [], cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert run(capsys, "validate", FIXDIR / "filippov_n3.alg")[0] == 0
+    finally:
+        cli._parser.cache_clear()
+    assert len(built) == 1
+
+
+def test_main_keeps_no_state_between_calls(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    alg = FIXDIR / "filippov_n3_twisted.alg"
+
+    def plain():
+        code, out, _ = run(capsys, "cohomology", alg, "-p", "1")
+        assert code == 0
+        return [line for line in out.splitlines() if not line.startswith("elapsed_seconds")]
+
+    first = plain()
+    assert f"cocycle_basis_file: {tmp_path / 'filippov_n3_twisted.z1.scalar.cochains'}" in first
+    custom = tmp_path / "custom.cochains"
+    code, out, _ = run(capsys, "--json", "cohomology", alg, "-p", "1", "--basis-out", custom)
+    assert code == 0 and json.loads(out)["cocycle_basis_file"] == str(custom)
+    assert plain() == first  # text again, and the default basis path
+    with pytest.raises(SystemExit) as rejected:
+        main(["--json", "cohomology", str(alg), "-p", "one", "--basis-out", str(custom)])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert plain() == first
+
+
 def test_cohomology_degree0_writes_covectors(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "--json", "cohomology", FIXDIR / "solvable_d4.alg", "-p", "0")

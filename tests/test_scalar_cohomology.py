@@ -84,6 +84,32 @@ def test_degree1_matches_three_term_display():
             assert out.value((bx, by), z).get(0, 0) == expected
 
 
+def test_degree2_matches_display():
+    # the same independent path at degree 2, where the bracket can sit in
+    # a slot before the last: d1 over the pairs i < j of three blocks,
+    # then d2, against a fused cochain read in the split output space
+    for name, alg in algs():
+        fund = fundamental_of(alg)
+        space2 = CochainSpace(alg, 2, "scalar")
+        space3 = CochainSpace(alg, 3, "scalar", "split")
+        phi = Cochain.random(space2, random.Random(7))
+        out = apply_coboundary(trivial_representation(alg), phi, out_mode="split")
+        alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
+        for key in space3.keys:
+            xs, z = space3.decode_args(key)
+            ax = [fund.twist_sparse({x: ONE}) for x in xs]
+            expected = 0
+            for i in range(3):  # 0-based i, so the sign (-1)^(i+1)
+                sign = -1 if i % 2 == 0 else 1
+                for j in range(i + 1, 3):  # d1: [x_i, x_j] in slot j
+                    bracket = fund.table[xs[i]][xs[j]]
+                    args = [bracket if k == j else ax[k] for k in range(3) if k != i]
+                    expected += sign * phi.evaluate(args, alpha_cols[z]).get(0, 0)
+                lz = l_action_sparse(alg, fund.basis, {xs[i]: ONE}, {z: ONE})  # d2
+                expected += sign * phi.evaluate(ax[:i] + ax[i + 1:], lz).get(0, 0)
+            assert out.value(xs, z).get(0, 0) == expected, (name, key)
+
+
 @pytest.mark.parametrize("mode", ["fused", "split"])
 def test_delta_squared_is_zero(mode):
     for name, alg in algs():
