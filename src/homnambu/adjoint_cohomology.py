@@ -42,9 +42,9 @@ from .algebra import AlgebraError, HomNambuAlgebra, bracket_eval_sparse
 from .cochains import Cochain, CochainSpace
 from .derivations import adjoint_representation, commutation_matrix, row_major
 from .fundamental import wedge_of_vectors
+from .indices import sv_add
 
 ONE = Fraction(1)
-ZERO = Fraction(0)
 
 
 class NotEquivariantError(AlgebraError):
@@ -146,13 +146,10 @@ def check_infinitesimal_deformation(alg: HomNambuAlgebra, psi: Cochain, residual
 
 def random_equivariant_cochain(alg: HomNambuAlgebra, p: int, rng: random.Random, mode="fused"):
     """Random integer combination of the equivariant basis."""
-    space = CochainSpace(alg, p, "adjoint", mode)
-    basis = equivariant_basis(alg, p, mode)
-    flat = [ZERO] * space.dim
-    for v in basis.vectors:
+    coords = {}
+    for row in equivariant_basis(alg, p, mode).rows:
         c = Fraction(rng.randint(-3, 3))
         if c:
-            for i, x in enumerate(v):
-                if x:
-                    flat[i] += c * x
-    return Cochain.from_flat(space, flat)
+            for i, x in row.items():
+                sv_add(coords, i, c * x)
+    return Cochain.from_coordinates(CochainSpace(alg, p, "adjoint", mode), coords)

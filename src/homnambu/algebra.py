@@ -213,6 +213,27 @@ def check_skew_symmetry(alg: HomNambuAlgebra):
     return violations
 
 
+class _SlotMap:
+    """The linear map v -> outer(args with v in ``slot``), its columns
+    outer(args with e_m in ``slot``) evaluated on first use."""
+
+    def __init__(self, outer, args, slot: int):
+        self.outer, self.args, self.slot, self.columns = outer, args, slot, {}
+
+    def add_image(self, diff: dict, vector: dict, sign: int) -> None:
+        """``diff += sign * map(vector)``, zeros dropped."""
+        columns = self.columns
+        for m, c in vector.items():
+            if (column := columns.get(m)) is None:
+                args, slot = self.args, self.slot
+                column = columns[m] = self.outer(args[:slot] + [{m: 1}] + args[slot + 1:])
+            for idx, v in column.items():
+                if new := diff.get(idx, 0) + sign * c * v:
+                    diff[idx] = new
+                else:
+                    del diff[idx]
+
+
 def fundamental_identity_defects(alg: HomNambuAlgebra, pairs):
     """``(x, y, defect)`` wherever the twisted fundamental-identity defect,
     summed over the ``(outer, inner)`` pairs, is nonzero:
@@ -222,26 +243,32 @@ def fundamental_identity_defects(alg: HomNambuAlgebra, pairs):
     with a the twist, ``outer`` bracketing n sparse vectors and ``inner``
     n basis indices.  The defect is bilinear in (outer, inner).  Each
     ``inner`` is called once per distinct index tuple (its values are
-    kept for this call only and must not be mutated).
+    kept for this call only and must not be mutated).  ``outer`` is
+    linear in every slot, so it is evaluated at most once per call on
+    each unit vector: outer(a x, .) in the last slot per x, and
+    outer(a y_1, ..., ., ..., a y_n) in slot i per (y, i); each term is
+    the image of an ``inner`` value under those columns.  No
+    skew-symmetry of ``outer`` is assumed.
     """
     n, d = alg.arity, alg.dim
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
-    pairs = [(outer, cache(inner)) for outer, inner in pairs]
+    alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    xs, ys = wedge_basis(d, n - 1), wedge_basis(d, n)
+    tables = []
+    for outer, inner in pairs:
+        left = {x: _SlotMap(outer, [alpha_cols[j] for j in x] + [None], n - 1) for x in xs}
+        right = {}
+        for y in ys:
+            args = [alpha_cols[j] for j in y]
+            right[y] = [_SlotMap(outer, args, i) for i in range(n)]
+        tables.append((left, right, cache(inner)))
     defects = []
-    for x in wedge_basis(d, n - 1):
-        alpha_x = [alpha_cols[i] for i in x]
-        for y in wedge_basis(d, n):
+    for x in xs:
+        for y in ys:
             diff = {}
-            for outer, inner in pairs:
-                for idx, v in outer(alpha_x + [inner(y)]).items():
-                    sv_add(diff, idx, v)
-                for i in range(n):
-                    inner_i = inner(x + (y[i],))
-                    if inner_i:
-                        args = [alpha_cols[j] for j in y]
-                        args[i] = inner_i
-                        for idx, v in outer(args).items():
-                            sv_add(diff, idx, -v)
+            for left, right, inner in tables:
+                left[x].add_image(diff, inner(y), 1)
+                for i, slot_map in enumerate(right[y]):
+                    slot_map.add_image(diff, inner(x + (y[i],)), -1)
             if diff:
                 defects.append((x, y, diff))
     return defects

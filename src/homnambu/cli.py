@@ -213,12 +213,12 @@ def cmd_cohomology(args) -> tuple:
         suffix = "matrix" if args.degree == 0 else "cochains"
         basis_out = str(Path.cwd() / f"{stem}.z{args.degree}.{kind}.{suffix}")
     written = None
-    if cocycles.vectors:
+    if cocycles.rows:
         if args.degree == 0:
             formats.save_matrix(cocycles.matrix(), basis_out)  # one covector per row
         else:
             space = CochainSpace(alg, args.degree, kind, args.mode)
-            cochains = [Cochain.from_flat(space, v) for v in cocycles.vectors]
+            cochains = [Cochain.from_coordinates(space, row) for row in cocycles.rows]
             formats.save_cochains(cochains, basis_out)
         written = basis_out
     report = {
@@ -291,10 +291,10 @@ def bridge_input_cochain(alg, leib, degree: int, seed: int) -> Cochain:
     rng = random.Random(seed)
     if degree == 0:  # psi[r, c] at r*d + c goes to column c
         cols = {}
-        for v in adjoint_cohomology.equivariant_matrix_space(alg).vectors:
+        for row in adjoint_cohomology.equivariant_matrix_space(alg).rows:
             c = Fraction(rng.randint(-3, 3))
             if c:
-                for i, x in enumerate(v):
+                for i, x in row.items():
                     sv_add(cols.setdefault((i % alg.dim,), {}), i // alg.dim, c * x)
         space = CochainSpace(alg, 0, "adjoint", "tensor")
         return Cochain(space, {key: exact_vec(cols[key]) for key in sorted(cols) if cols[key]})

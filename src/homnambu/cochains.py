@@ -212,15 +212,24 @@ class Cochain:
         return cls(space, {})
 
     @classmethod
+    def from_coordinates(cls, space: CochainSpace, coords: dict) -> "Cochain":
+        """The cochain with coordinates ``{i: v}``, zeros left out or
+        skipped: coordinate i is component i % dv of key number i // dv,
+        dv the value dimension."""
+        keys, dv, coeffs = space.keys, space.value_dim, {}
+        for i in sorted(coords):
+            if v := coords[i]:
+                k, r = divmod(i, dv)
+                coeffs.setdefault(keys[k], {})[r] = v if type(v) is Fraction else Fraction(v)
+        return cls(space, coeffs)
+
+    @classmethod
     def from_flat(cls, space: CochainSpace, flat) -> "Cochain":
+        """The cochain with the dense coordinate vector ``flat``."""
         flat = list(flat)
         if len(flat) != space.dim:
             raise CochainError("flat vector length mismatch")
-        keys, dv, coeffs = space.keys, space.value_dim, {}
-        for i, v in enumerate(flat):  # entry i is component i % dv of key number i // dv
-            if v:
-                coeffs.setdefault(keys[i // dv], {})[i % dv] = Fraction(v)
-        return cls(space, coeffs)
+        return cls.from_coordinates(space, dict(enumerate(flat)))
 
     def to_flat(self) -> tuple:
         out, dv = [ZERO] * self.space.dim, self.space.value_dim

@@ -209,6 +209,8 @@ def dumps_cochains(cochains) -> str:
         f"arity = {space.alg.arity}",
         f"mode = {space.mode}",
     ]
+    heads = {}  # key -> "[indices] -> ", built once per file
+    components = range(space.value_dim)
     for idx, cochain in enumerate(cochains):
         if cochain.space is not space and (
             cochain.space.degree != space.degree
@@ -218,10 +220,12 @@ def dumps_cochains(cochains) -> str:
             raise ValueError("cochains must share one space")
         out.append(f"cochain {idx + 1}")
         for key in sorted(cochain.coeffs):
-            flat = ",".join(str(i + 1) for i in _flatten_key(space, key))
+            if (head := heads.get(key)) is None:
+                flat = ",".join(str(i + 1) for i in _flatten_key(space, key))
+                head = heads[key] = f"[{flat}] -> "
+            # stored values are ints or Fractions, whose str is format_rational's
             value = cochain.coeffs[key]
-            values = ",".join(format_rational(value.get(r, 0)) for r in range(space.value_dim))
-            out.append(f"[{flat}] -> {values}")
+            out.append(head + ",".join(str(value[r]) if r in value else "0" for r in components))
     return "\n".join(out) + "\n"
 
 

@@ -16,16 +16,23 @@ eliminates each row once up to scale (LaMacchia & Odlyzko, CRYPTO
 with those over any extension field, which is why the rest of the
 package can work over Q without changing any cohomology dimension.
 Every basis is read off the reduced row echelon form, which is unique,
-so outputs are canonical.  :func:`homology` turns a coboundary operator
-and its predecessor into cocycles, coboundaries and the quotient
-dimension for every complex in the package; a complex on a subspace cut
-out by linear conditions passes those rows stacked under its operator.
+so outputs are canonical.  Bases stay sparse from there on: each
+vector is a ``{coordinate: Fraction}`` row read off the nonzero entries
+of the pivot rows, and the containment check of :func:`quotient_dim`
+and every :class:`SubspaceBasis` method hand those rows to the engine
+as they are; dense vectors are built only where a caller asks for
+:attr:`SubspaceBasis.vectors`.  :func:`homology` turns a coboundary
+operator and its predecessor into cocycles, coboundaries and the
+quotient dimension for every complex in the package; a complex on a
+subspace cut out by linear conditions passes those rows stacked under
+its operator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import lcm
 
 from . import backends
@@ -111,9 +118,18 @@ def _echelon(rows, cols):
     return backends.echelon_int(int_rows, len(rows), cols)
 
 
-def _scaled(row, lead):
-    """An integer echelon row divided by its pivot entry."""
-    return tuple(Fraction(v, lead) if v else ZERO for v in row)
+def _pivot_rows(ech, pivots) -> list:
+    """The integer echelon rows as ``{column: Fraction}`` rows divided by
+    their pivot entries, columns increasing."""
+    out = []
+    for row, p in zip(ech, pivots):
+        lead = row[p]
+        out.append({c: Fraction(row[c], lead) for c in compress(range(len(row)), row)})
+    return out
+
+
+def _dense(row: dict, width: int) -> tuple:
+    return tuple(row.get(j, ZERO) for j in range(width))
 
 
 def rank(m) -> int:
@@ -127,34 +143,36 @@ def rref(m):
     Returns ``(R, pivots)`` where R is a tuple of ``rank`` row tuples
     (zero rows dropped).
     """
-    ech, pivots, _ = _echelon(*_rows(m))
-    return tuple(_scaled(row, row[p]) for row, p in zip(ech, pivots)), tuple(pivots)
+    rows, cols = _rows(m)
+    ech, pivots, _ = _echelon(rows, cols)
+    return tuple(_dense(row, cols) for row in _pivot_rows(ech, pivots)), tuple(pivots)
 
 
 def kernel_basis(m) -> "SubspaceBasis":
-    """Canonical basis of the right null space (reduced echelon form)."""
+    """Canonical basis of the right null space (reduced echelon form):
+    one vector per free column f, 1 at f and -row[f]/lead at the pivot
+    of each echelon row with an entry in column f."""
     rows, cols = _rows(m)
     ech, pivots, _ = _echelon(rows, cols)
     pivot_set = set(pivots)
-    vectors = {f: [ZERO] * cols for f in range(cols) if f not in pivot_set}
-    for f, v in vectors.items():
-        v[f] = ONE
+    vectors = {f: {} for f in range(cols) if f not in pivot_set}
     for row, p in zip(ech, pivots):
         lead = row[p]
-        for f, x in enumerate(row):
-            if x and f != p:
-                vectors[f][p] = Fraction(-x, lead)
-    return SubspaceBasis(cols, tuple(tuple(v) for v in vectors.values()))
-
-
-def _row_basis(rows, cols) -> "SubspaceBasis":
-    ech, pivots, _ = _echelon(rows, cols)
-    return SubspaceBasis(cols, tuple(_scaled(row, row[p]) for row, p in zip(ech, pivots)))
+        for f in compress(range(len(row)), row):
+            if f != p:
+                vectors[f][p] = Fraction(-row[f], lead)
+    # a pivot with an entry in column f lies left of f, so the 1 at f
+    # goes last and every row keeps its coordinates in increasing order
+    for f, v in vectors.items():
+        v[f] = ONE
+    return SubspaceBasis(cols, tuple(vectors.values()))
 
 
 def image_basis(m) -> "SubspaceBasis":
     """Canonical basis of the column space (reduced echelon form)."""
-    return _row_basis(*_rows(m, transpose=True))
+    rows, cols = _rows(m, transpose=True)
+    ech, pivots, _ = _echelon(rows, cols)
+    return SubspaceBasis(cols, tuple(_pivot_rows(ech, pivots)))
 
 
 def solve(m, b):
@@ -207,41 +225,61 @@ def matmul(a: "SparseMatrix", b: "SparseMatrix") -> "SparseMatrix":
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """A list of independent vectors spanning a subspace of Q^ambient_dim."""
+    """Independent vectors spanning a subspace of Q^ambient_dim, stored
+    as sparse rows: ``rows[i]`` is ``{coordinate: Fraction}`` with the
+    nonzero coordinates of vector i in increasing order.  A vector given
+    as a dense sequence of ``ambient_dim`` rationals is read into that
+    form; :attr:`vectors` gives the dense tuples back."""
 
     ambient_dim: int
-    vectors: tuple
+    rows: tuple
+
+    def __post_init__(self):
+        rows = tuple(r if isinstance(r, dict) else self._sparse(r) for r in self.rows)
+        object.__setattr__(self, "rows", rows)
+
+    def _sparse(self, vector) -> dict:
+        (row,), width = _rows([vector])
+        if width != self.ambient_dim:
+            raise LinAlgError("vector length differs from the ambient dimension")
+        return row
 
     @property
     def dim(self) -> int:
-        return len(self.vectors)
+        return len(self.rows)
+
+    @property
+    def vectors(self) -> tuple:
+        """The vectors as dense tuples, zeros included, built on each use."""
+        return tuple(_dense(row, self.ambient_dim) for row in self.rows)
 
     def matrix(self) -> "SparseMatrix":
         """The basis vectors as the rows of a matrix."""
-        entries = {(i, j): x for i, v in enumerate(self.vectors) for j, x in enumerate(v) if x}
+        entries = {(i, j): x for i, row in enumerate(self.rows) for j, x in row.items()}
         return SparseMatrix(self.dim, self.ambient_dim, entries)
 
     def verify(self) -> bool:
-        if not self.vectors:
-            return True
-        if any(len(v) != self.ambient_dim for v in self.vectors):
+        n = self.ambient_dim
+        if any(not 0 <= j < n for row in self.rows for j in row):
             return False
-        return rank(self.vectors) == len(self.vectors)
+        return _echelon(self.rows, n)[2] == self.dim
 
     def contains(self, vector) -> bool:
-        if not any(vector):
+        row = self._sparse(vector)
+        if not row:
             return True
-        if not self.vectors:
+        if not self.rows:
             return False
-        return rank((*self.vectors, vec(vector))) == self.dim
+        return _echelon([*self.rows, row], self.ambient_dim)[2] == self.dim
 
 
 def quotient_dim(z: SubspaceBasis, b: SubspaceBasis) -> int:
     """dim(z) - dim(b), after checking span(b) is inside span(z); both
-    bases hold independent vectors, so only the stacked rank is taken."""
+    bases hold independent vectors, so only the rank of their stacked
+    rows is taken."""
     if z.ambient_dim != b.ambient_dim:
         raise NotASubspaceError("ambient dimensions differ")
-    if b.vectors and rank((*z.vectors, *b.vectors)) != z.dim:
+    if b.rows and _echelon([*z.rows, *b.rows], z.ambient_dim)[2] != z.dim:
         raise NotASubspaceError("not a subspace")
     return z.dim - b.dim
 

@@ -8,6 +8,7 @@ pivots, rank and kernel basis.
 """
 
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -61,6 +62,17 @@ def sparse(rows, cols):
     return linalg.SparseMatrix(len(rows), cols, entries)
 
 
+def sparse_rows(vectors):
+    """The nonzero coordinates of dense vectors, increasing, as dicts."""
+    return [{j: v for j, v in enumerate(vector) if v} for vector in vectors]
+
+
+def sparse_items(rows):
+    """Each sparse row as its ``(coordinate, value)`` list, so that the
+    order of the coordinates is compared too."""
+    return [list(row.items()) for row in rows]
+
+
 def assert_matches_reference(rows, cols):
     want_r, want_pivots = reference_rref(rows, cols)
     want_kernel = reference_kernel(rows, cols)
@@ -73,9 +85,11 @@ def assert_matches_reference(rows, cols):
         kernel = linalg.kernel_basis(m)
         assert kernel.ambient_dim == cols
         assert list(kernel.vectors) == want_kernel
+        assert sparse_items(kernel.rows) == sparse_items(sparse_rows(want_kernel))
         image = linalg.image_basis(m)
         assert image.ambient_dim == len(rows)
         assert [list(v) for v in image.vectors] == want_image
+        assert sparse_items(image.rows) == sparse_items(sparse_rows(want_image))
 
 
 RATIONALS = st.one_of(
@@ -191,6 +205,44 @@ def test_repeated_rows_change_no_result(systems):
             # the row space, as the column space of the transpose
             assert [list(v) for v in linalg.image_basis(t).vectors] == want_r
             assert linalg.solve(m, rhs) == want_x
+
+
+@st.composite
+def complexes(draw):
+    """Integer matrices D (m x n) and A (n x k) with D A = 0: A is drawn,
+    and each row of D is an integer combination of the reference left
+    null space of A, denominators cleared."""
+    n, k = draw(st.integers(1, 6)), draw(st.integers(0, 4))
+    a = draw(st.lists(st.lists(st.integers(-3, 3), min_size=k, max_size=k), min_size=n, max_size=n))
+    left = reference_kernel(transpose(a, k), n)
+    d = []
+    for _ in range(draw(st.integers(0, 5))):
+        row = [Fraction(0)] * n
+        for v in left:
+            c = draw(st.integers(-2, 2))
+            row = [x + c * y for x, y in zip(row, v)]
+        den = lcm(*(x.denominator for x in row))
+        d.append([int(x * den) for x in row])
+    return d, a, n, k
+
+
+@given(complexes())
+@settings(max_examples=200, deadline=None)
+def test_homology_matches_reference(complex_):
+    d, a, n, k = complex_
+    z, b, dim_h = linalg.homology(sparse(d, n), sparse(a, k))
+    want_z = reference_kernel(d, n)
+    want_b = reference_rref(transpose(a, k), n)[0]
+    assert (z.ambient_dim, b.ambient_dim) == (n, n)
+    assert sparse_items(z.rows) == sparse_items(sparse_rows(want_z))
+    assert sparse_items(b.rows) == sparse_items(sparse_rows(want_b))
+    assert dim_h == len(want_z) - len(want_b)
+    # e_j for a nonzero column j of D lies outside Z: boundaries holding it are refused
+    outside = next((j for j in range(n) if any(row[j] for row in d)), None)
+    if outside is not None:
+        claimed = linalg.SubspaceBasis(n, (*b.rows, {outside: Fraction(1)}))
+        with pytest.raises(linalg.NotASubspaceError):
+            linalg.quotient_dim(z, claimed)
 
 
 def test_elimination_sees_each_distinct_row_once(monkeypatch):

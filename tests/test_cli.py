@@ -248,6 +248,34 @@ def test_cohomology_degree0_writes_covectors(tmp_path, capsys, monkeypatch):
         assert not any(linalg.sparse_mat_vec(delta, tuple(row)))
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("filippov_n3", "-p", "2", "--mode", "split"),
+        ("sl2", "-p", "3", "--coefficients", "adjoint"),
+        ("solvable_d4", "-p", "0"),
+    ],
+    ids=["trivial-split", "adjoint", "degree-0"],
+)
+def test_cohomology_writes_bases_without_dense_vectors(argv, tmp_path, capsys, monkeypatch):
+    # reports and cocycle files are built from the sparse basis rows: no
+    # dense basis vector and no dense cochain vector is formed on the way
+    from homnambu import linalg
+
+    def densified(*_args):
+        raise AssertionError("a dense vector was built on the report path")
+
+    monkeypatch.setattr(Cochain, "from_flat", classmethod(densified))
+    monkeypatch.setattr(linalg.SubspaceBasis, "vectors", property(densified))
+    monkeypatch.chdir(tmp_path)
+    stem, *options = argv
+    code, out, err = run(capsys, "--json", "cohomology", FIXDIR / f"{stem}.alg", *options)
+    assert code == 0, err
+    report = json.loads(out)
+    assert report["dimensions"]["dim_Z"] > 0
+    assert Path(report["cocycle_basis_file"]).is_file()
+
+
 def test_cohomology_zero_bracket(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code, out, _ = run(capsys, "cohomology", FIXDIR / "zero_d2_n2.alg", "--degree", "1")
