@@ -8,7 +8,8 @@ a repeated argument gives zero.  So :func:`check_skew_symmetry` checks
 the stored representation only, in O(#brackets); the permutation oracle
 that evaluates every argument order lives in the tests.  Bracket lookups
 read a per-algebra table of sparse columns with integral constants as
-``int``, built on first use and dropped by every insert.
+``int``, built on first use and dropped by every insert; the twist's
+columns and its rows read backwards are built on first use too.
 
 The other validators run over basis tuples only.  That suffices: both
 sides of the defining identities are multilinear in every slot and skew
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from functools import cache, partial
+from functools import cache, cached_property, partial
 
 from . import linalg
-from .indices import exact_vec, expand, sort_with_sign, sv_add, wedge_basis
+from .indices import exact_vec, expand, read_backwards, sort_with_sign, sv_add, wedge_basis
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -67,6 +68,7 @@ class HomNambuAlgebra:
         self.hom_nambu_checked = False
         self.multiplicative_checked = False
         self._twist_powers = {0: linalg.eye(dim), 1: self.twist}
+        self._twist_columns = {}
 
     def _insert(self, key, value):
         n, d = self.arity, self.dim
@@ -139,11 +141,19 @@ class HomNambuAlgebra:
             powers[j] = linalg.sparse_matmul(self.twist, powers[j - 1])
         return powers[k]
 
-    def twist_column_sparse(self, i: int, k: int = 1) -> dict:
-        return self.twist_power(k).column(i)
+    def twist_columns(self, k: int) -> list:
+        """The sparse columns of alpha^k, integral entries as ints, built
+        on first use; shared by every reader, so never mutated."""
+        if (cols := self._twist_columns.get(k)) is None:
+            power = self.twist_power(k)
+            cols = self._twist_columns[k] = [exact_vec(power.column(i)) for i in range(self.dim)]
+        return cols
 
-    def twist_apply(self, v, k: int = 1) -> tuple:
-        return linalg.sparse_mat_vec(self.twist_power(k), v)
+    @cached_property
+    def twist_rows(self) -> list:
+        """alpha read backwards: ``twist_rows[t]`` lists ``(i, w)`` for
+        every column i of alpha with w at t."""
+        return read_backwards(enumerate(self.twist_columns(1)), self.dim)
 
 
 def zero_algebra(dim: int, arity: int, twist=None) -> HomNambuAlgebra:
@@ -251,7 +261,7 @@ def fundamental_identity_defects(alg: HomNambuAlgebra, pairs):
     skew-symmetry of ``outer`` is assumed.
     """
     n, d = alg.arity, alg.dim
-    alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    alpha_cols = alg.twist_columns(1)
     xs, ys = wedge_basis(d, n - 1), wedge_basis(d, n)
     tables = []
     for outer, inner in pairs:
@@ -301,9 +311,7 @@ def _endomorphism_defects(alg: HomNambuAlgebra, cols):
 
 def check_multiplicativity(alg: HomNambuAlgebra):
     """Check twist(bracket) = bracket(twist, ..., twist) on basis tuples."""
-    violations = list(
-        _endomorphism_defects(alg, [alg.twist_column_sparse(i) for i in range(alg.dim)])
-    )
+    violations = list(_endomorphism_defects(alg, alg.twist_columns(1)))
     if not violations:
         alg.multiplicative_checked = True
     return violations

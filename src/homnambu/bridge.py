@@ -32,7 +32,8 @@ values), its lift and every Leibniz cochain in the ``leibniz`` layout
 (p-tuples of tensor blocks, values in T).  Each map is stated once in the
 ``(scalars, maps)`` shape of :func:`cochains.coboundary_scatter`, read
 backwards from one stored key u to the output keys its value phi(u)
-adds to, through inverse tables built once per call:
+adds to, through the tables of T read backwards, built once per
+algebra (:class:`~homnambu.fundamental.HomLeibnizAlgebra`):
 
 * :func:`leibniz_scatter`: the bracket terms are scalar weights (the
   twist read as t -> [(a, w)], the bracket as t -> [(a, b, w)]); left
@@ -67,9 +68,6 @@ from .cochains import (
     Cochain,
     CochainSpace,
     _family,
-    _grid,
-    _inverse,
-    _twisted,
     apply,
     coboundary_scatter,
     compatibility_violations,
@@ -139,15 +137,13 @@ def leibniz_scatter(leib: HomLeibnizAlgebra, p: int):
                 left[m].append((a, lcol))
             if rcol:
                 right[m].append((a, rcol))
-    twist, bracket = _inverse(enumerate(leib.twist_cols), dim), _inverse(_grid(table), dim)
+    bracket, twisted = leib.bracket_rows, leib.twisted
     sign, slots = 1 if p % 2 else -1, [(k, 1 - 2 * (k % 2)) for k in range(p)]
 
     def scatter(u):
         scalars = {}
-        twisted = [twist[x] for x in u]
         for j in range(p):  # slot j of u read off the bracket, the others off the twist
-            for rest in itertools.product(*twisted[:j], *twisted[j + 1:]):
-                args, w = _twisted(rest)
+            for args, w in twisted(u[:j] + u[j + 1:]):
                 head, tail = args[:j], args[j:]
                 for a, b, wb in bracket[u[j]]:
                     args, wab = head + (b,) + tail, w * wb
@@ -225,21 +221,14 @@ def _lift_scatter(alg: HomNambuAlgebra, p: int, ops):
     return space_in, space_out, scatter
 
 
-def _twisted_basis(alg: HomNambuAlgebra, p: int):
-    """a^p(b_x) for every basis index x, integral entries as ints, the
-    tensor blocks and the tensor coordinates of a product of sparse
-    vectors."""
-    leib = tensor_fundamental_of(alg)
-    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(alg.dim)]
-    return alpha_p, leib.basis, partial(tensor_of_vectors, leib.index)
-
-
 def lift_scatter(alg: HomNambuAlgebra, p: int):
     """The lift of degree-p tensor-mode cochains as a scatter: the slot
     maps b_m -> a^p(x^1) x ... x b_m x ... x a^p(x^(n-1)) of each block."""
     d, n = alg.dim, alg.arity
-    alpha_p, blocks, tensor = _twisted_basis(alg, p)
-    ops = [[_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)] for t in blocks]
+    alpha_p, leib = alg.twist_columns(p), tensor_fundamental_of(alg)
+    tensor = partial(tensor_of_vectors, leib.index)
+    ops = [[_slot_map(tensor, [alpha_p[x] for x in t], s, d) for s in range(n - 1)]
+           for t in leib.basis]
     return _lift_scatter(alg, p, ops)
 
 
@@ -248,11 +237,12 @@ def ternary_lift_scatter(alg: HomNambuAlgebra, p: int):
     if alg.arity != 3:
         raise ValueError("ternary lift needs arity 3")
     d = alg.dim
-    alpha_p, blocks, tensor = _twisted_basis(alg, p)
+    alpha_p, leib = alg.twist_columns(p), tensor_fundamental_of(alg)
+    tensor = partial(tensor_of_vectors, leib.index)
     # phi(..., x1) (x) a^p(x2) + a^p(x1) (x) phi(..., x2)
     first = [_slot_map(tensor, [None, alpha_p[x]], 0, d) for x in range(d)]
     second = [_slot_map(tensor, [alpha_p[x], None], 1, d) for x in range(d)]
-    return _lift_scatter(alg, p, [(first[x2], second[x1]) for x1, x2 in blocks])
+    return _lift_scatter(alg, p, [(first[x2], second[x1]) for x1, x2 in leib.basis])
 
 
 def delta_lift(phi: Cochain) -> Cochain:

@@ -260,17 +260,6 @@ class Cochain:
         return total
 
 
-def _rho_columns(rep) -> dict:
-    """Sparse columns of every nonzero rho matrix, by increasing tuple,
-    integral entries as ints."""
-    out = {}
-    for key, m in rep.rho.items():
-        cols = [exact_vec(m.column(c)) for c in range(rep.dim)]
-        if any(cols):
-            out[key] = cols
-    return out
-
-
 def _rho_weights(rho_cols: dict, args) -> dict:
     """Sparse columns ``{c: column}`` of rho at n-1 sparse vectors (skew
     multilinear expansion); empty when rho vanishes there."""
@@ -311,29 +300,6 @@ def _split_args(space: CochainSpace):
     return (lambda key: [(key[:-1] + (c,), z, sign) for c, z, sign in reps[key[-1]]]), tails
 
 
-def _inverse(cells, width: int) -> list:
-    """``out[t] = [(*at, w)]`` for each ``(*at, cell)`` whose sparse cell
-    has w at t."""
-    out = [[] for _ in range(width)]
-    for *at, cell in cells:
-        for t, w in cell.items():
-            out[t].append((*at, w))
-    return out
-
-
-def _grid(table):
-    """``(a, b, cell)`` for every cell of a table of rows."""
-    return ((a, b, cell) for a, row in enumerate(table) for b, cell in enumerate(row))
-
-
-def _twisted(choice) -> tuple:
-    """Arguments and weight of one choice of ``(..., arg, weight)`` items."""
-    w = 1
-    for item in choice:
-        w *= item[-1]
-    return tuple([item[-2] for item in choice]), w
-
-
 def _spread(scalars: dict, head, b, tail, w, slots: int):
     """``scalars[out] += (-1)^i w`` for each i < slots, with out the key
     ``head`` with block b in slot i, then ``tail``."""
@@ -362,28 +328,27 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
     ``place(a)`` the ``(out_key, w)`` that add w times map a's image of
     psi(key).  d3 is one family, rho(a^p(x)) per block x; d4 one family
     per slot s and final index, rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per
-    output tail.  The inverse tables are built once per call with
-    integral values as ints, so integral structure constants give
-    integer arithmetic, and so are the twist images of each block tuple:
-    d1 reads those of the blocks before and after the bracket's slot, d2
-    those of the whole tuple.  For a bracket in a slot before the last,
-    the last output block is a twist image of the input's last block,
-    so whether a split argument has a row is known before the loops.
+    output tail.  The tables read backwards and the twist images of each
+    block tuple come from the block algebra and the twist, built once
+    per algebra with integral values as ints (integer arithmetic for
+    integral structure constants): d1 reads the images of the blocks
+    before and after the bracket's slot, d2 those of the whole tuple.
+    For a bracket in a slot before the last, the last output block is a
+    twist image of the input's last block, so whether a split argument
+    has a row is known before the loops.
     """
     space_in = CochainSpace(alg, p, rep, mode)
     space_out = CochainSpace(alg, p + 1, rep, out_mode or mode)
     fund = _block_algebra(alg, space_out.mode)
     d, n = alg.dim, alg.arity
-    twist = _inverse(enumerate(fund.twist_cols), fund.dim)
-    bracket, laction = _inverse(_grid(fund.table), fund.dim), _inverse(_grid(fund.l_action), d)
-    alpha = _inverse(enumerate(exact_vec(alg.twist_column_sparse(i)) for i in range(d)), d)
+    twist, bracket, laction = fund.twist_rows, fund.bracket_rows, fund.l_action_rows
+    alpha, twisted = alg.twist_rows, fund.twisted
     representatives, tails = _split_args(space_in)[0], _split_args(space_out)[1]
     # d3 weights rho(a^p(x)) per block x; d4 weights
     # rho(a^p(y^1), ..., ^y^s, ..., a^p(z)) per block y with y^s = t, by (s, t)
     third, fourth = {}, {}
-    rho_cols = _rho_columns(rep)
-    if rho_cols:
-        alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(d)]
+    if rho_cols := rep.rho_columns:
+        alpha_p = alg.twist_columns(p)
         for b, y in enumerate(fund.basis):
             if weights := _rho_weights(rho_cols, [alpha_p[t] for t in y]):
                 third[b] = weights
@@ -394,14 +359,6 @@ def coboundary_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused", o
                         fourth.setdefault((s, y[s]), {})[tail] = weights
     third_blocks, third = list(third), _family(third, rep.dim)
     fourth = {st: _family(ops, rep.dim) for st, ops in fourth.items()}
-    products = {}  # block tuple -> its twist images (args, weight), in product order
-
-    def twisted(blocks):
-        if (found := products.get(blocks)) is None:
-            found = products[blocks] = [
-                _twisted(choice) for choice in itertools.product(*[twist[x] for x in blocks])
-            ]
-        return found
 
     def inserted(args, b, z):
         """``(out_key, (-1)^i)`` for block b in slot i <= p of args, z
@@ -468,9 +425,8 @@ def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused")
     """Rows nu . psi(args) - psi(a args) over the keys of the degree-p
     space, p >= 0, as ``(space, space, scatter)`` in the format of
     :func:`coboundary_scatter`; the compatible cochains are its zeros."""
-    space, d = CochainSpace(alg, p, rep, mode), alg.dim
-    twist = _inverse(enumerate(_block_algebra(alg, mode).twist_cols), len(space.wedge))
-    alpha = _inverse(enumerate(exact_vec(alg.twist_column_sparse(i)) for i in range(d)), d)
+    space = CochainSpace(alg, p, rep, mode)
+    alpha, twisted = alg.twist_rows, _block_algebra(alg, mode).twisted
     representatives, tails = _split_args(space)
     nu = _family({0: {c: col for c in range(rep.dim) if (col := exact_vec(rep.nu.column(c)))}},
                  rep.dim)
@@ -478,8 +434,7 @@ def equivariance_scatter(alg: HomNambuAlgebra, rep, p: int, mode: str = "fused")
     def scatter(key):
         scalars = {}
         for u, t, sign in representatives(key):
-            for choice in itertools.product(*[twist[x] for x in u]):
-                args, w = _twisted(choice)
+            for args, w in twisted(u):
                 for z, wz in alpha[t]:
                     if tail := (tails[args[-1]][z] if args else (z,)):
                         out = args[:-1] + tail

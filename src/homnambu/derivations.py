@@ -28,10 +28,11 @@ degree-0 cochain layout stores D[r, c] at c*d + r (column c of D at key
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from . import cochains, linalg
 from .algebra import AlgebraError, HomNambuAlgebra, ad_matrix
-from .indices import expand, sort_with_sign, wedge_basis
+from .indices import exact_vec, expand, sort_with_sign, sv_to_dense, wedge_basis
 
 
 class FixedPointError(AlgebraError):
@@ -120,7 +121,7 @@ def inner_derivation(alg: HomNambuAlgebra, xs, k: int) -> Derivation:
     if len(xs) != alg.arity - 1:
         raise AlgebraError("inner derivation needs n-1 vectors")
     for pos, x in enumerate(xs):
-        if alg.twist_apply(x) != x:
+        if linalg.sparse_mat_vec(alg.twist, x) != x:
             raise FixedPointError(pos)
     m = linalg.sparse_matmul(ad_matrix(alg, xs), alg.twist_power(k))
     bad = derivation_violations(alg, m, k + 1)
@@ -159,6 +160,17 @@ class RepresentationMap:
     rho: dict
     nu: linalg.SparseMatrix
 
+    @cached_property
+    def rho_columns(self) -> dict:
+        """Sparse columns of every nonzero rho matrix, by increasing tuple,
+        integral entries as ints, built on first use and never mutated."""
+        out = {}
+        for key, m in self.rho.items():
+            cols = [exact_vec(m.column(c)) for c in range(self.dim)]
+            if any(cols):
+                out[key] = cols
+        return out
+
     def rho_basis(self, key) -> linalg.SparseMatrix:
         canon, sign = sort_with_sign(key)
         m = self.rho.get(canon)
@@ -177,7 +189,7 @@ def level_representation(alg: HomNambuAlgebra, k: int) -> RepresentationMap:
     twist: the level-k action, rho = 0 at k = -1 where a^(-1) = 0."""
     if k < -1:
         raise LevelUnderflowError(k)
-    moved = [alg.twist_apply(alg.basis_vector(i), k) for i in range(alg.dim)]
+    moved = [sv_to_dense(col, alg.dim) for col in alg.twist_columns(k)]
     rho = {
         key: ad_matrix(alg, [moved[i] for i in key])
         for key in wedge_basis(alg.dim, alg.arity - 1)
@@ -218,7 +230,7 @@ def check_representation(alg: HomNambuAlgebra, rep: RepresentationMap):
     rho([x, y]) o nu).
     """
     n, d = alg.arity, alg.dim
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
+    alpha_cols = alg.twist_columns(1)
     violations = []
     for x in wedge_basis(d, n - 1):
         for y in wedge_basis(d, n - 1):

@@ -17,6 +17,7 @@ Bracket tuples may come in any order; the loader normalizes them to
 increasing order with the sign and rejects entries that disagree after
 normalization.  ``dump_algebra`` emits a canonical form (sorted tuples,
 lowest terms, zero rows omitted), so dump -> load -> dump is byte-stable.
+Digits are ASCII in every count, index and rational.
 """
 
 from __future__ import annotations
@@ -28,7 +29,8 @@ from . import linalg
 from .algebra import AlgebraError, HomNambuAlgebra
 from .indices import sort_with_sign
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$")
+_RATIONAL = re.compile(r"^[+-]?\d+(/0*[1-9]\d*)?$", re.ASCII)
+_INDEX = re.compile(r"\s*[+-]?\d+\s*", re.ASCII)
 _BRACKET_LINE = re.compile(r"^\[([^\]]*)\]\s*->\s*(.*)$")
 
 
@@ -46,6 +48,15 @@ def parse_rational(token: str, line=None) -> Fraction:
     return Fraction(token)
 
 
+def _indices(text: str, what: str, lineno, count=None) -> tuple:
+    """0-based indices of a comma-separated list of 1-based integers, and
+    ``count`` of them when given; otherwise a ParseError naming ``what``."""
+    tokens = text.split(",")
+    if count not in (None, len(tokens)) or not all(map(_INDEX.fullmatch, tokens)):
+        raise ParseError(f"bad {what} {text!r}", lineno)
+    return tuple(int(tok) - 1 for tok in tokens)
+
+
 def format_rational(value: Fraction) -> str:
     return str(Fraction(value))
 
@@ -58,7 +69,7 @@ def _content_lines(text):
 
 
 def _parse_header(line, name, lineno):
-    m = re.match(rf"^{name}\s*=\s*(\d+)$", line)
+    m = re.match(rf"^{name}\s*=\s*(\d+)$", line, re.ASCII)
     if not m:
         raise ParseError(f"expected '{name} = <count>', got {line!r}", lineno)
     return int(m.group(1))
@@ -91,10 +102,7 @@ def loads_algebra(text: str) -> HomNambuAlgebra:
         m = _BRACKET_LINE.match(line)
         if not m:
             raise ParseError(f"expected '[i1,...,i{arity}] -> c1,...,c{dim}', got {line!r}", lineno)
-        try:
-            key = tuple(int(tok) - 1 for tok in m.group(1).split(","))
-        except ValueError:
-            raise ParseError(f"bad index tuple {m.group(1)!r}", lineno) from None
+        key = _indices(m.group(1), "index tuple", lineno)
         values = [parse_rational(tok, lineno) for tok in m.group(2).split(",")]
         try:
             alg._insert(key, values)
@@ -259,18 +267,14 @@ def loads_cochains(text: str, alg):
     cochains = []
     coeffs = None
     for lineno, line in lines[5:]:
-        if re.match(r"^cochain\s+\d+$", line):
+        if re.match(r"^cochain\s+\d+$", line, re.ASCII):
             coeffs, seen = {}, set()
             cochains.append(coeffs)
             continue
         m = _BRACKET_LINE.match(line)
         if not m or coeffs is None:
             raise ParseError(f"expected 'cochain k' or a coefficient line, got {line!r}", lineno)
-        try:
-            indices = [int(tok) - 1 for tok in m.group(1).split(",")]
-        except ValueError:
-            raise ParseError(f"bad index tuple {m.group(1)!r}", lineno) from None
-        key = _unflatten_key(space, indices, lineno)
+        key = _unflatten_key(space, _indices(m.group(1), "index tuple", lineno), lineno)
         if key in seen:
             raise ParseError(f"repeated key {m.group(1)!r} in one cochain", lineno)
         seen.add(key)
@@ -328,10 +332,7 @@ def loads_leibniz(text: str):
         m = _BRACKET_LINE.match(line)
         if not m:
             raise ParseError(f"expected '[i,j] -> c1,...,c{dim}', got {line!r}", lineno)
-        try:
-            i, j = (int(tok) - 1 for tok in m.group(1).split(","))
-        except ValueError:
-            raise ParseError(f"bad index pair {m.group(1)!r}", lineno) from None
+        i, j = _indices(m.group(1), "index pair", lineno, 2)
         if not (0 <= i < dim and 0 <= j < dim):
             raise ParseError("pair out of range", lineno)
         values = [parse_rational(tok, lineno) for tok in m.group(2).split(",")]
@@ -390,10 +391,7 @@ def loads_representation(text: str):
         m = re.match(r"^rho\s*\[([^\]]*)\]\s*:$", line)
         if not m:
             raise ParseError(f"expected 'rho [i1,...]:', got {line!r}", lineno)
-        try:
-            key = tuple(int(tok) - 1 for tok in m.group(1).split(","))
-        except ValueError:
-            raise ParseError(f"bad rho index list {m.group(1)!r}", lineno) from None
+        key = _indices(m.group(1), "rho index list", lineno)
         if len(key) != arity - 1:
             raise ParseError(f"rho tuple needs {arity - 1} indices", lineno)
         canon, sign = sort_with_sign(key)

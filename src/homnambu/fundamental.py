@@ -13,18 +13,22 @@ are sparse coordinate dicts over wedge indices.  :func:`induced_algebra`
 builds the same bracket on either block basis: :func:`fundamental_of`
 on wedges and :func:`tensor_fundamental_of` on (n-1)-fold tensor blocks
 (no skewness), the Leibniz algebra of :mod:`homnambu.bridge` and of the
-``tensor`` cochain mode of :mod:`homnambu.cochains`.
+``tensor`` cochain mode of :mod:`homnambu.cochains`.  Both are memoized
+on the source algebra, and so are the tables that the coboundaries read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
+import math
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import cached_property, partial
 
 from . import linalg
 from .algebra import HomNambuAlgebra, bracket_eval_sparse
-from .indices import exact_vec, expand, sort_with_sign, sv_add, tensor_basis, wedge_basis
+from .indices import exact_vec, expand, read_backwards, sort_with_sign, sv_add
+from .indices import tensor_basis, wedge_basis
 
 ONE = Fraction(1)
 
@@ -48,6 +52,7 @@ class HomLeibnizAlgebra:
     the sparse image of b_i under the induced twist.  When the algebra
     is induced from ``source`` (on wedge or tensor blocks),
     ``l_action[i][z]`` is the sparse L(b_i).e_z in the source algebra.
+    The tables read backwards are built on first use; no reader mutates them.
     """
 
     dim: int
@@ -57,6 +62,32 @@ class HomLeibnizAlgebra:
     twist_cols: list
     source: HomNambuAlgebra | None = None
     l_action: list | None = None
+    _images: dict = field(default_factory=dict, init=False, repr=False)
+
+    @cached_property
+    def twist_rows(self) -> list:
+        """``twist_rows[t]``: ``(i, w)`` for each b_i whose twist has w at b_t."""
+        return read_backwards(enumerate(self.twist_cols), self.dim)
+
+    @cached_property
+    def bracket_rows(self) -> list:
+        """``bracket_rows[t]``: ``(a, b, w)`` for each [b_a, b_b] with w at b_t."""
+        return read_backwards(_grid(self.table), self.dim)
+
+    @cached_property
+    def l_action_rows(self) -> list:
+        """``l_action_rows[t]``: ``(b, z, w)`` for each L(b_b).e_z with w at e_t."""
+        return read_backwards(_grid(self.l_action), self.source.dim)
+
+    def twisted(self, blocks: tuple) -> list:
+        """The twist images ``(args, weight)`` of a block tuple, in
+        :func:`itertools.product` order, built on first use."""
+        if (found := self._images.get(blocks)) is None:
+            found = self._images[blocks] = [
+                (tuple([x for x, _ in choice]), math.prod(w for _, w in choice))
+                for choice in itertools.product(*[self.twist_rows[x] for x in blocks])
+            ]
+        return found
 
     def bracket_sparse(self, x: dict, y: dict) -> dict:
         out = {}
@@ -79,6 +110,11 @@ class HomLeibnizAlgebra:
         return linalg.SparseMatrix(self.dim, self.dim, entries)
 
 
+def _grid(table):
+    """``(a, b, cell)`` for every cell of a table of rows."""
+    return ((a, b, cell) for a, row in enumerate(table) for b, cell in enumerate(row))
+
+
 def l_action_sparse(alg: HomNambuAlgebra, wedge, x: dict, z: dict) -> dict:
     """L(x).z for x in wedge coordinates and z a sparse vector."""
     out = {}
@@ -98,7 +134,7 @@ def induced_algebra(alg: HomNambuAlgebra, basis, coords) -> HomLeibnizAlgebra:
     others; integral values are ints.
     """
     n, d = alg.arity, alg.dim
-    alpha_cols = [exact_vec(alg.twist_column_sparse(i)) for i in range(d)]
+    alpha_cols = alg.twist_columns(1)
     l_action = [[alg.bracket_basis_sparse(t + (z,)) for z in range(d)] for t in basis]
     table = []
     for lx in l_action:
@@ -162,28 +198,20 @@ def tensor_fundamental_of(alg: HomNambuAlgebra) -> HomLeibnizAlgebra:
 
 def check_hom_leibniz(leib: HomLeibnizAlgebra):
     """Exhaustive twisted Leibniz identity
-    [a(x), [y, z]] = [[x, y], a(z)] + [a(y), [x, z]] over basis triples.
+    [a(x), [y, z]] = [[x, y], a(z)] + [a(y), [x, z]] over basis triples,
+    read off ``table`` and ``twist_cols``.
 
     Returns violations ``(i, j, k, difference)``.
     """
     violations = []
-    units = [{i: ONE} for i in range(leib.dim)]
-    for i in range(leib.dim):
-        ax = leib.twist_sparse(units[i])
-        for j in range(leib.dim):
-            ay = leib.twist_sparse(units[j])
-            xy = leib.bracket_sparse(units[i], units[j])
-            for k in range(leib.dim):
-                az = leib.twist_sparse(units[k])
-                lhs = leib.bracket_sparse(ax, leib.bracket_sparse(units[j], units[k]))
-                rhs = leib.bracket_sparse(xy, az)
-                for key, v in leib.bracket_sparse(ay, leib.bracket_sparse(units[i], units[k])).items():
-                    sv_add(rhs, key, v)
-                diff = dict(lhs)
-                for key, v in rhs.items():
-                    sv_add(diff, key, -v)
-                if diff:
-                    violations.append((i, j, k, diff))
+    table, twist, bracket = leib.table, leib.twist_cols, leib.bracket_sparse
+    for i, j, k in itertools.product(range(leib.dim), repeat=3):
+        diff = bracket(twist[i], table[j][k])
+        for term in (bracket(table[i][j], twist[k]), bracket(twist[j], table[i][k])):
+            for key, v in term.items():
+                sv_add(diff, key, -v)
+        if diff:
+            violations.append((i, j, k, diff))
     return violations
 
 
@@ -196,22 +224,19 @@ def check_l_compatibility(alg: HomNambuAlgebra):
     Returns violations ``(i, j, z, difference)``.
     """
     fund = fundamental_of(alg)
-    action = fund.l_action
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
+    action, alpha_cols = fund.l_action, alg.twist_columns(1)
     violations = []
-    for i in range(fund.dim):
-        for j in range(fund.dim):
-            for z in range(alg.dim):
-                diff = {}
-                for sign, x, v in (
-                    (1, fund.table[i][j], alpha_cols[z]),
-                    (-1, fund.twist_cols[i], action[j][z]),
-                    (1, fund.twist_cols[j], action[i][z]),
-                ):
-                    for b, xb in x.items():
-                        for t, vt in v.items():
-                            for k, w in action[b][t].items():
-                                sv_add(diff, k, sign * xb * vt * w)
-                if diff:
-                    violations.append((i, j, z, diff))
+    for i, j, z in itertools.product(range(fund.dim), range(fund.dim), range(alg.dim)):
+        diff = {}
+        for sign, x, v in (
+            (1, fund.table[i][j], alpha_cols[z]),
+            (-1, fund.twist_cols[i], action[j][z]),
+            (1, fund.twist_cols[j], action[i][z]),
+        ):
+            for b, xb in x.items():
+                for t, vt in v.items():
+                    for k, w in action[b][t].items():
+                        sv_add(diff, k, sign * xb * vt * w)
+        if diff:
+            violations.append((i, j, z, diff))
     return violations

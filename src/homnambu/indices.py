@@ -39,8 +39,10 @@ def sort_with_sign(idx: tuple):
 
 
 def wedge_basis(dim: int, k: int):
-    """All strictly increasing k-tuples in ``range(dim)``, in lex order."""
-    return list(itertools.combinations(range(dim), k))
+    """All strictly increasing k-tuples in ``range(dim)``, in lex order;
+    none when k > dim, which ``combinations`` would find only after
+    allocating k indices."""
+    return list(itertools.combinations(range(dim), k)) if k <= dim else []
 
 
 def tensor_basis(dim: int, k: int):
@@ -69,6 +71,15 @@ def exact(v):
 
 def exact_vec(vec: dict) -> dict:
     return {k: exact(v) for k, v in vec.items() if v}
+
+
+def read_backwards(cells, width: int) -> list:
+    """``out[t] = [(*at, w)]`` for each ``(*at, cell)`` whose sparse cell has w at t."""
+    out = [[] for _ in range(width)]
+    for *at, cell in cells:
+        for t, w in cell.items():
+            out[t].append((*at, w))
+    return out
 
 
 def expand(vectors):

@@ -339,7 +339,7 @@ def reference_defects(alg, pairs):
     """The defect of :func:`algebra.fundamental_identity_defects` expanded
     term by term: every outer bracket evaluated on its full arguments."""
     n, d = alg.arity, alg.dim
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(d)]
+    alpha_cols = [alg.twist_power(1).column(i) for i in range(d)]
     defects = []
     for x in wedge_basis(d, n - 1):
         alpha_x = [alpha_cols[i] for i in x]

@@ -296,7 +296,7 @@ def test_tensor_mode_operator_is_the_bridge_coboundary():
         dphi = bridge_coboundary(phi)
         assert linalg.sparse_mat_vec(m, phi.to_flat()) == dphi.to_flat(), (alg.dim, alg.arity, p)
         assert dphi.coeffs or not alg.coeffs
-        alpha = [alg.twist_column_sparse(i) for i in range(d)]
+        alpha = [alg.twist_power(1).column(i) for i in range(d)]
         expected = []
         for *args, z in phi.space.keys:
             lhs = {}
@@ -448,7 +448,7 @@ def reference_lift(phi):
     tuple: sum_i a^p(x^1) x ... x phi(a_1, ..., a_p, x^i) x ... x a^p(x^(n-1))."""
     alg, p = phi.space.alg, phi.space.degree
     leib = tensor_fundamental_of(alg)
-    alpha_p = [alg.twist_column_sparse(i, p) for i in range(alg.dim)]
+    alpha_p = [alg.twist_power(p).column(i) for i in range(alg.dim)]
     out = {}
     for args in itertools.product(range(leib.dim), repeat=p):
         blocks = [{a: 1} for a in args]

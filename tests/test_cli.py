@@ -501,3 +501,51 @@ def test_cochain_file_of_degree_0_exit_2(tmp_path, capsys):
     assert code == 2
     assert "line 2" in err
     assert "degree 1" in err
+
+
+HEAD = "dim = 3\narity = 2\n1 0 0\n0 1 0\n0 0 1\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("dim = ３\narity = 2\n1 0 0\n0 1 0\n0 0 1\n",
+         "line 1: expected 'dim = <count>', got 'dim = ３'"),
+        (HEAD + "[١,٢] -> 0,0,1\n", "line 6: bad index tuple '١,٢'"),
+        (HEAD + "[1,2] -> ١,0,0\n", "line 6: bad rational '١'"),
+        (HEAD + "[0_1,2] -> 0,0,1\n", "line 6: bad index tuple '0_1,2'"),
+        (HEAD + "[1,x] -> 0,0,1\n", "line 6: bad index tuple '1,x'"),
+        (HEAD + "[-1,2] -> 0,0,1\n", "line 6: bracket tuple (-2, 1) out of range for dim 3"),
+    ],
+)
+def test_digits_are_ascii_exit_2(text, message, tmp_path, capsys):
+    # the file grammar is [+-]?digits[/digits] in ASCII; a tuple with an
+    # ASCII sign still reaches the range check
+    bad = tmp_path / "digits.alg"
+    bad.write_text(text, encoding="utf-8")
+    code, _, err = run(capsys, "validate", bad)
+    assert code == 2
+    assert message in err
+    assert "Traceback" not in err
+
+
+def test_cochain_indices_are_ascii_exit_2(tmp_path, capsys):
+    head = "kind = scalar\ndegree = 1\ndim = 4\narity = 3\nmode = fused\ncochain 1\n"
+    for line, message in (("[1,2,٣] -> 1", "bad index tuple '1,2,٣'"),
+                          ("[1,2,0_3] -> 1", "bad index tuple '1,2,0_3'")):
+        cfile = tmp_path / "c.cochains"
+        cfile.write_text(head + line + "\n", encoding="utf-8")
+        alg = FIXDIR / "filippov_n3.alg"
+        code, _, err = run(capsys, "extend", alg, "--cochain", cfile, "-o", tmp_path / "ext.alg")
+        assert code == 2
+        assert f"line 7: {message}" in err
+        assert "Traceback" not in err
+
+
+def test_validate_an_arity_above_the_dimension(tmp_path, capsys):
+    # no increasing tuple exists, so no check allocates one
+    alg = tmp_path / "wide.alg"
+    alg.write_text("dim = 2\narity = 99999999999\n1 0\n0 1\n")
+    code, out, err = run(capsys, "validate", alg)
+    assert code == 0, err
+    assert "hom_nambu: pass" in out

@@ -178,6 +178,16 @@ def test_representation_empty_index_list():
         loads_representation(REP_HEAD + "rho []:\n0 1\n0 0\n")
 
 
+@pytest.mark.parametrize("key", ["٢,1", "1_0,1", "1 2,1"])
+def test_index_lists_are_ascii_integers(key):
+    # the rho and Leibniz readers share the algebra's index-list reader
+    with pytest.raises(ParseError, match=f"line 6: bad rho index list '{key}'"):
+        loads_representation(REP_HEAD + f"rho [{key}]:\n0 1\n0 0\n")
+    pair = "kind = leibniz\ndim = 2\n1 0\n0 1\n[" + key + "] -> 0,1\n"
+    with pytest.raises(ParseError, match=f"line 5: bad index pair '{key}'"):
+        loads_leibniz(pair)
+
+
 def test_representation_repeated_block():
     with pytest.raises(ParseError):
         loads_representation(REP_HEAD + "rho [1,2]:\n0 1\n0 0\nrho [2,1]:\n0 1\n0 0\n")

@@ -152,7 +152,7 @@ def _l_compatibility_by_brackets(alg):
     tables of the fundamental algebra."""
     fund = fundamental_of(alg)
     wedge = fund.basis
-    alpha_cols = [alg.twist_column_sparse(i) for i in range(alg.dim)]
+    alpha_cols = [alg.twist_power(1).column(i) for i in range(alg.dim)]
     units = [{i: ONE} for i in range(len(wedge))]
     violations = []
     for i in range(len(wedge)):

@@ -308,8 +308,8 @@ def reference_rows(alg, rep, p, mode="fused", out_mode=None):
     space_out = CochainSpace(alg, p + 1, "scalar", out_mode or mode)
     fund = (tensor_fundamental_of if space_out.mode == "tensor" else fundamental_of)(alg)
     n, dv = alg.arity, rep.dim
-    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
-    alpha_p = [exact_vec(alg.twist_column_sparse(i, p)) for i in range(alg.dim)]
+    alpha = [exact_vec(alg.twist_power(1).column(i)) for i in range(alg.dim)]
+    alpha_p = [exact_vec(alg.twist_power(p).column(i)) for i in range(alg.dim)]
     units = [{b: 1} for b in range(fund.dim)]
     identity = {(r, r): 1 for r in range(dv)}
 
@@ -350,7 +350,7 @@ def reference_equivariance_rows(alg, rep, p, mode="fused"):
     """Per key, in key order, the row nu . psi(args) - psi(a args)."""
     space = CochainSpace(alg, p, "scalar", mode)
     fund = (tensor_fundamental_of if mode == "tensor" else fundamental_of)(alg)
-    alpha = [exact_vec(alg.twist_column_sparse(i)) for i in range(alg.dim)]
+    alpha = [exact_vec(alg.twist_power(1).column(i)) for i in range(alg.dim)]
     identity = {(r, r): 1 for r in range(rep.dim)}
     rows = []
     for key in space.keys:
