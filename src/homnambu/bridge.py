@@ -269,6 +269,9 @@ def check_commuting_square(phi: Cochain, lifted=None):
         lifted = delta_lift(phi)
     lhs = leibniz_coboundary(leib, lifted)
     rhs = delta_lift(bridge_coboundary(phi))
+    # both sides come canonical out of scatter_values: equal dicts, equal maps
+    if lhs.coeffs == rhs.coeffs:
+        return True, {}
     residuals = {}
     for key in set(lhs.coeffs) | set(rhs.coeffs):
         diff = dict(lhs.coeffs.get(key, {}))

@@ -6,17 +6,21 @@ dict of its nonzero entries, so matrices compare equal exactly when
 they are equal.  Everything here is a pure function of its arguments,
 so concurrent use needs no synchronization.
 
-``rank``, ``rref``, ``kernel_basis``, ``image_basis``, ``solve``,
-``quotient_dim`` and the :class:`SubspaceBasis` checks take a
-SparseMatrix or a nested sequence of rows and hand its nonzero rows,
-denominators cleared row by row (rows of ints go as they are), to the
-one elimination engine, :func:`homnambu.backends.echelon_int`, which
-eliminates each row once up to scale (LaMacchia & Odlyzko, CRYPTO
-1990), so a repeated row is never reduced.  Ranks and kernels over Q agree
-with those over any extension field, which is why the rest of the
-package can work over Q without changing any cohomology dimension.
-Every basis is read off the reduced row echelon form, which is unique,
-so outputs are canonical.  Bases stay sparse from there on: each
+``rank``, ``rref``, ``image_basis``, ``solve``, ``quotient_dim`` and
+the :class:`SubspaceBasis` checks take a SparseMatrix or a nested
+sequence of rows and hand its nonzero rows, denominators cleared row by
+row (rows of ints go as they are), to the one elimination engine,
+:func:`homnambu.backends.echelon_int`, which eliminates each row once up
+to scale (LaMacchia & Odlyzko, CRYPTO 1990), so a repeated row is never
+reduced.  ``kernel_basis`` hands the engine the columns instead, each
+tagged with its own unit vector, and reads the null space off the
+columns that reduce to their tags alone
+(:func:`homnambu.backends.kernel_int`; Cohen, GTM 138, Alg. 2.3.1): a
+coboundary operator has far fewer columns than rows.  Ranks and kernels
+over Q agree with those over any extension field, which is why the rest
+of the package can work over Q without changing any cohomology
+dimension.  Every basis is read off a reduced echelon form, which is
+unique, so outputs are canonical.  Bases stay sparse from there on: each
 vector is a ``{coordinate: Fraction}`` row read off the nonzero entries
 of the pivot rows, and the containment check of :func:`quotient_dim`
 and every :class:`SubspaceBasis` method hand those rows to the engine
@@ -104,18 +108,22 @@ def _rows(m, transpose=False):
     return cols, len(rows)
 
 
-def _echelon(rows, cols):
-    """Reduced echelon form of rational ``{column: value}`` rows, each
-    row cleared of denominators first (row scaling preserves row space,
-    null space and pivot structure); empty rows are skipped and rows of
-    ints passed as they are."""
+def _int_rows(rows) -> list:
+    """Rational ``{column: value}`` rows, each cleared of denominators
+    (row scaling preserves row space, null space and pivot structure);
+    empty rows are skipped and rows of ints passed as they are."""
     int_rows = []
     for row in filter(None, rows):
         if any(type(v) is not int for v in row.values()):
             den = lcm(*(v.denominator for v in row.values()))
             row = {c: v.numerator * (den // v.denominator) for c, v in row.items()}
         int_rows.append(row)
-    return backends.echelon_int(int_rows, len(rows), cols)
+    return int_rows
+
+
+def _echelon(rows, cols):
+    """Reduced echelon form of rational ``{column: value}`` rows."""
+    return backends.echelon_int(_int_rows(rows), len(rows), cols)
 
 
 def _pivot_rows(ech, pivots) -> list:
@@ -149,23 +157,29 @@ def rref(m):
 
 
 def kernel_basis(m) -> "SubspaceBasis":
-    """Canonical basis of the right null space (reduced echelon form):
-    one vector per free column f, 1 at f and -row[f]/lead at the pivot
-    of each echelon row with an entry in column f."""
-    rows, cols = _rows(m)
-    ech, pivots, _ = _echelon(rows, cols)
-    pivot_set = set(pivots)
-    vectors = {f: {} for f in range(cols) if f not in pivot_set}
-    for row, p in zip(ech, pivots):
-        lead = row[p]
-        for f in compress(range(len(row)), row):
-            if f != p:
-                vectors[f][p] = Fraction(-row[f], lead)
-    # a pivot with an entry in column f lies left of f, so the 1 at f
-    # goes last and every row keeps its coordinates in increasing order
-    for f, v in vectors.items():
-        v[f] = ONE
-    return SubspaceBasis(cols, tuple(vectors.values()))
+    """Canonical basis of the right null space: one vector per free
+    column f of the reduced echelon form, 1 at f and -row[f]/lead at the
+    pivot of each echelon row with an entry in column f.
+
+    It is found by eliminating the columns of ``m`` rather than its
+    rows (:func:`homnambu.backends.kernel_int`; Cohen, GTM 138, Alg.
+    2.3.1), which pays for tall operators: column j goes to the engine
+    tagged with a 1 at ``rows + cols - 1 - j``.  The basis comes back
+    reduced in that reversed column order, which is unique, and is the
+    one described above read back with the tags un-reversed.
+    """
+    columns, height = _rows(m, transpose=True)
+    cols = len(columns)
+    top = height + cols - 1
+    for j, column in enumerate(columns):
+        column[top - j] = 1
+    reduced = backends.kernel_int(_int_rows(columns), height, cols)
+    vectors = []
+    for row in reversed(reduced):
+        lead = row[min(row)]
+        # tags decreasing are coordinates increasing; the lead, at f, goes last
+        vectors.append({top - t: Fraction(row[t], lead) for t in sorted(row, reverse=True)})
+    return SubspaceBasis(cols, tuple(vectors))
 
 
 def image_basis(m) -> "SubspaceBasis":

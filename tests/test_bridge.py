@@ -245,6 +245,33 @@ def test_commuting_square_degree2_small_fixture():
     assert holds
 
 
+def test_commuting_square_reports_a_tampered_lift():
+    # a residual table, built only when the sides differ, is the one the
+    # key-by-key loop below builds
+    rng = random.Random(41)
+    alg = fixtures.filippov_n3()
+    leib = tensor_fundamental_of(alg)
+    phi = random_bridge_cochain(alg, leib, 1, rng)
+    lifted = delta_lift(phi)
+    assert check_commuting_square(phi, lifted) == (True, {})
+    key = lifted.space.keys[0]
+    value = {r: Fraction(v) for r, v in lifted.coeffs.get(key, {}).items()}
+    sv_add(value, 0, ONE)
+    tampered = Cochain(lifted.space, stored({**lifted.coeffs, key: value}))
+    holds, residuals = check_commuting_square(phi, tampered)
+    lhs = leibniz_coboundary(leib, tampered)
+    rhs = delta_lift(bridge_coboundary(phi))
+    want = {}
+    for k in set(lhs.coeffs) | set(rhs.coeffs):
+        diff = dict(lhs.coeffs.get(k, {}))
+        for r, v in rhs.coeffs.get(k, {}).items():
+            sv_add(diff, r, -v)
+        if diff:
+            want[k] = diff
+    assert not holds
+    assert want and residuals == want
+
+
 def test_lift_kills_double_coboundary():
     # lift(delta(delta phi)) = d(d(lift ...)) = 0 without assuming
     # delta^2 itself vanishes on the full tensor space
